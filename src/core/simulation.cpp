@@ -93,6 +93,11 @@ class Runner {
     for (const Job& job : jobs) {
       next_job_id_ = std::max(next_job_id_, job.id + 1);
     }
+    for (const Job& job : jobs) {
+      COOPCR_CHECK(job.root >= 0 && job.root < next_job_id_,
+                   "job root must be an original job id");
+    }
+    lineage_max_.assign(static_cast<std::size_t>(next_job_id_), 0.0);
     // Failure events (trace is pre-drawn so all strategies share it).
     for (const Failure& f : failures) {
       if (f.time >= stop_time_) continue;
@@ -224,7 +229,9 @@ class Runner {
     last_util_t_ = t;
   }
 
-  double& lineage_max(JobId root) { return lineage_max_[root]; }
+  double& lineage_max(JobId root) {
+    return lineage_max_[static_cast<std::size_t>(root)];
+  }
 
   /// Close a compute interval [t0, t1): split into lost-work re-execution
   /// (positions below the lineage's high-water mark) and useful compute.
@@ -857,8 +864,13 @@ class Runner {
   double bb_free_ = 0.0;  ///< free fast-tier capacity (bytes)
   std::unordered_map<RequestId, DrainRec> drains_;
 
+  // A hash map on purpose, though ids are dense: finalize() walks it and adds
+  // floating-point sums into `Accounting` in map order, so any other
+  // container order would change result bits.
   std::unordered_map<JobId, JobRt> jobs_;
-  std::unordered_map<JobId, double> lineage_max_;
+  /// Work high-water mark per lineage, indexed by root (an original job id,
+  /// all below the initial next_job_id_).
+  std::vector<double> lineage_max_;
   JobId next_job_id_ = 0;
   std::uint64_t req_serial_ = 0;
   sim::Time stop_time_ = 0.0;

@@ -119,9 +119,11 @@ class DistSweepRunner final : public exp::SweepExecutor {
   std::string backend_name() const override { return "dist"; }
 
   /// Called after each grid point's report is reduced, in grid order —
-  /// same contract as exp::SweepRunner::on_point. run_batch stays
-  /// unsupported (supports_run_batch() is false): adaptive rounds need the
-  /// journal-aware extend the coordinator does not implement yet.
+  /// same contract as exp::SweepRunner::on_point. Sequential stopping
+  /// (target_ci_width) runs inside run(): the coordinator grows every point
+  /// in journaled doubling rounds. run_batch stays unsupported
+  /// (supports_run_batch() is false), so drivers that pick their next
+  /// campaigns from earlier results, like fig3's bisection, run in-process.
   DistSweepRunner& on_point(PointCallback callback) override;
 
   /// Expand `spec` and run the full grid across the worker fleet. Throws

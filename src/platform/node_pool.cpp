@@ -6,84 +6,97 @@
 
 namespace coopcr {
 
-const std::vector<std::int64_t> NodePool::kEmpty{};
-
-namespace {
-/// Job ids are packed with a 32-bit allocation epoch into one ownership
-/// word, so they must fit 32 bits (minus the +1 free-sentinel offset). Every
-/// simulation id is tiny compared to this.
-constexpr JobId kMaxJobId = 0xfffffffell;
-}  // namespace
-
 NodePool::NodePool(std::int64_t node_count) {
   COOPCR_CHECK(node_count > 0, "node pool must have at least one unit");
-  owner_.assign(static_cast<std::size_t>(node_count), 0);
-  free_list_.resize(static_cast<std::size_t>(node_count));
-  // Free list kept LIFO; initialised descending so that allocation hands out
-  // low indices first (purely cosmetic, but makes traces easy to read).
-  for (std::int64_t i = 0; i < node_count; ++i) {
-    free_list_[static_cast<std::size_t>(i)] = node_count - 1 - i;
-  }
+  total_ = node_count;
   free_count_ = node_count;
+  // One descending run, so allocation hands out low indices first (purely
+  // cosmetic, but makes traces easy to read).
+  free_.push_back(Run{node_count - 1, node_count, -1, kNoJob});
+}
+
+void NodePool::push_run(std::vector<Run>& runs, std::size_t floor, Run run) {
+  if (runs.size() > floor) {
+    Run& tail = runs.back();
+    const std::int64_t step = run.first - tail.last();
+    // A one-node run has no direction of its own; it takes the step's.
+    if ((step == 1 || step == -1) && (tail.len == 1 || tail.dir == step) &&
+        (run.len == 1 || run.dir == step)) {
+      tail.dir = step;
+      tail.len += run.len;
+      return;
+    }
+  }
+  runs.push_back(run);
+}
+
+std::size_t NodePool::find_held(JobId job) const {
+  std::size_t i = 0;
+  while (i < held_.size() && held_[i].job != job) ++i;
+  return i;
 }
 
 void NodePool::allocate(JobId job, std::int64_t count) {
   COOPCR_CHECK(job >= 0, "invalid job id");
-  COOPCR_CHECK(job <= kMaxJobId, "job id too large for the ownership table");
   COOPCR_CHECK(count > 0, "allocation size must be positive");
   COOPCR_CHECK(count <= free_count_, "not enough free nodes");
-  COOPCR_CHECK(allocations_.find(job) == allocations_.end(),
+  COOPCR_CHECK(find_held(job) == held_.size(),
                "job already holds an allocation");
-  Allocation alloc;
-  alloc.epoch = ++next_epoch_;
-  alloc.nodes.resize(static_cast<std::size_t>(count));
-  // Take the top `count` stack entries as one segment; reverse_copy matches
-  // the node order per-node pop_back() would have produced.
-  std::reverse_copy(free_list_.end() - count, free_list_.end(),
-                    alloc.nodes.begin());
-  free_list_.resize(free_list_.size() - static_cast<std::size_t>(count));
-  const std::uint64_t word = (static_cast<std::uint64_t>(alloc.epoch) << 32) |
-                             static_cast<std::uint64_t>(job + 1);
-  for (const std::int64_t node : alloc.nodes) {
-    owner_[static_cast<std::size_t>(node)] = word;
+  const std::size_t group = held_.size();
+  for (std::int64_t left = count; left > 0;) {
+    Run& top = free_.back();
+    const std::int64_t take = std::min(left, top.len);
+    // The top `take` entries of the run, popped one at a time, come out
+    // last first: a reversed run. What stays behind is the run's prefix.
+    push_run(held_, group, Run{top.last(), take, -top.dir, job});
+    top.len -= take;
+    if (top.len == 0) free_.pop_back();
+    left -= take;
   }
   free_count_ -= count;
-  allocations_.emplace(job, std::move(alloc));
+  ++job_count_;
 }
 
 void NodePool::release(JobId job) {
-  auto it = allocations_.find(job);
-  COOPCR_CHECK(it != allocations_.end(), "job holds no allocation");
-  const std::vector<std::int64_t>& nodes = it->second.nodes;
-  // Re-append the whole segment; ownership words go stale and are
-  // invalidated by the epoch check in owner_of() instead of being cleared.
-  free_list_.insert(free_list_.end(), nodes.begin(), nodes.end());
-  free_count_ += static_cast<std::int64_t>(nodes.size());
-  allocations_.erase(it);
+  const std::size_t begin = find_held(job);
+  COOPCR_CHECK(begin < held_.size(), "job holds no allocation");
+  std::size_t end = begin;
+  // Pushing the runs in assignment order re-stacks the nodes exactly as
+  // per-node push_back() in that order would.
+  for (; end < held_.size() && held_[end].job == job; ++end) {
+    Run run = held_[end];
+    run.job = kNoJob;
+    free_count_ += run.len;
+    push_run(free_, 0, run);
+  }
+  held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(begin),
+              held_.begin() + static_cast<std::ptrdiff_t>(end));
+  --job_count_;
 }
 
 JobId NodePool::owner_of(std::int64_t index) const {
-  COOPCR_CHECK(index >= 0 && index < total(), "node index out of range");
-  const std::uint64_t word = owner_[static_cast<std::size_t>(index)];
-  if (word == 0) return kNoJob;  // never allocated
-  const JobId job = static_cast<JobId>(word & 0xffffffffull) - 1;
-  const auto epoch = static_cast<std::uint32_t>(word >> 32);
-  const auto it = allocations_.find(job);
-  if (it == allocations_.end() || it->second.epoch != epoch) {
-    return kNoJob;  // stale word: the owning allocation was released
+  COOPCR_CHECK(index >= 0 && index < total_, "node index out of range");
+  for (const Run& run : held_) {
+    const std::int64_t offset = (index - run.first) * run.dir;
+    if (offset >= 0 && offset < run.len) return run.job;
   }
-  return job;
+  return kNoJob;
 }
 
-const std::vector<std::int64_t>& NodePool::nodes_of(JobId job) const {
-  const auto it = allocations_.find(job);
-  if (it == allocations_.end()) return kEmpty;
-  return it->second.nodes;
+std::vector<std::int64_t> NodePool::nodes_of(JobId job) const {
+  std::vector<std::int64_t> nodes;
+  for (std::size_t i = find_held(job); i < held_.size() && held_[i].job == job;
+       ++i) {
+    const Run& run = held_[i];
+    for (std::int64_t k = 0; k < run.len; ++k) {
+      nodes.push_back(run.first + k * run.dir);
+    }
+  }
+  return nodes;
 }
 
 double NodePool::utilization() const {
-  return static_cast<double>(allocated_count()) /
-         static_cast<double>(total());
+  return static_cast<double>(allocated_count()) / static_cast<double>(total_);
 }
 
 }  // namespace coopcr

@@ -9,21 +9,25 @@
 // node has failed and is replaced by a hot spare"), so the pool size is
 // constant for the whole simulation.
 //
-// Hot path: jobs hold thousands of nodes and start/finish constantly, so
-// allocate() takes the top of the LIFO free stack as one bulk segment and
-// release() re-appends the job's segment wholesale — no per-node free-list
-// churn. Per-node ownership is written once at allocation as an
-// epoch-tagged word and never cleared: owner_of() (rare — one call per
-// failure strike) validates the epoch against the job's live allocation, so
-// stale words from finished jobs read as "free". Node-to-job assignment
-// order is identical to the historical per-node pop/push implementation,
-// which keeps failure victims — and therefore whole simulations —
-// bit-identical.
+// Hot path: jobs hold thousands of nodes and start/finish constantly, so the
+// pool never touches nodes one by one. The LIFO free stack and every live
+// allocation are stored as runs of consecutive node indices
+// {first, len, dir = ±1}. The initial stack is one descending run and
+// allocations move whole runs, so the run count tracks the number of live
+// jobs, not the number of nodes:
+//   * allocate() pops runs off the stack top, splitting at most one, and
+//     reverses each run it takes — the node order per-node pop_back() would
+//     produce;
+//   * release() pushes the allocation's runs back in order, merging a run
+//     into the stack top when the two continue one another;
+//   * owner_of() (rare — one call per failure strike) scans the live runs.
+// Node-to-job assignment order is identical to the historical per-node
+// pop/push implementation, which keeps failure victims — and therefore whole
+// simulations — bit-identical.
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace coopcr {
@@ -40,9 +44,9 @@ class NodePool {
   /// Create a pool of `node_count` units, all free.
   explicit NodePool(std::int64_t node_count);
 
-  std::int64_t total() const { return static_cast<std::int64_t>(owner_.size()); }
+  std::int64_t total() const { return total_; }
   std::int64_t free_count() const { return free_count_; }
-  std::int64_t allocated_count() const { return total() - free_count_; }
+  std::int64_t allocated_count() const { return total_ - free_count_; }
 
   /// True when at least `count` units are free.
   bool can_allocate(std::int64_t count) const { return count <= free_count_; }
@@ -57,27 +61,39 @@ class NodePool {
   /// Owner of node `index`, or kNoJob when free.
   JobId owner_of(std::int64_t index) const;
 
-  /// Units currently held by `job` (empty vector if none).
-  const std::vector<std::int64_t>& nodes_of(JobId job) const;
+  /// Units currently held by `job`, in assignment order (empty if none).
+  std::vector<std::int64_t> nodes_of(JobId job) const;
 
   /// Number of jobs currently holding allocations.
-  std::size_t job_count() const { return allocations_.size(); }
+  std::size_t job_count() const { return job_count_; }
 
   /// Fraction of units currently allocated, in [0, 1].
   double utilization() const;
 
  private:
-  struct Allocation {
-    std::vector<std::int64_t> nodes;
-    std::uint32_t epoch = 0;
+  /// Nodes first, first + dir, ..., first + (len - 1) * dir, owned by `job`
+  /// (kNoJob on the free stack).
+  struct Run {
+    std::int64_t first = 0;
+    std::int64_t len = 0;
+    std::int64_t dir = 1;
+    JobId job = kNoJob;
+    std::int64_t last() const { return first + (len - 1) * dir; }
   };
 
-  std::vector<std::uint64_t> owner_;     // per-unit (epoch << 32 | job+1)
-  std::vector<std::int64_t> free_list_;  // free units (LIFO stack)
-  std::unordered_map<JobId, Allocation> allocations_;
+  /// Append `run` to `runs`, merged into the last entry when that entry is
+  /// at index `floor` or above and `run` continues it.
+  static void push_run(std::vector<Run>& runs, std::size_t floor, Run run);
+
+  /// First index of `job`'s runs in `held_`, or held_.size() if none.
+  std::size_t find_held(JobId job) const;
+
+  std::int64_t total_ = 0;
   std::int64_t free_count_ = 0;
-  std::uint32_t next_epoch_ = 0;
-  static const std::vector<std::int64_t> kEmpty;
+  std::size_t job_count_ = 0;
+  std::vector<Run> free_;  // LIFO stack, bottom to top
+  std::vector<Run> held_;  // live allocations, each a contiguous group of
+                           // runs in assignment order
 };
 
 }  // namespace coopcr

@@ -1,45 +1,37 @@
 #include "sched/job_scheduler.hpp"
 
-#include "util/error.hpp"
+#include <algorithm>
 
 namespace coopcr {
 
 JobScheduler::JobScheduler(NodePool& pool) : pool_(pool) {}
 
 void JobScheduler::submit(const Job& job) {
+  COOPCR_CHECK(!pumping_, "start callback re-entered the scheduler");
   COOPCR_CHECK(job.well_formed(), "scheduler received a malformed job");
   COOPCR_CHECK(job.nodes <= pool_.total(),
                "job larger than the whole platform");
-  Entry entry{job, seq_++};
-  // Insert before the first entry with strictly lower priority; within a
-  // priority band insertion order (seq) is preserved.
-  auto it = pending_.begin();
-  while (it != pending_.end() && it->job.priority >= entry.job.priority) ++it;
-  pending_.insert(it, std::move(entry));
-  ++submitted_;
-}
-
-std::size_t JobScheduler::pump(const StartFn& start) {
-  COOPCR_CHECK(static_cast<bool>(start), "pump needs a start callback");
-  std::size_t launched = 0;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (pool_.can_allocate(it->job.nodes)) {
-      const Job job = it->job;
-      it = pending_.erase(it);
-      pool_.allocate(job.id, job.nodes);
-      ++started_;
-      ++launched;
-      start(job);
-    } else {
-      ++it;
-    }
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(jobs_.size());
+    jobs_.push_back(job);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    jobs_[slot] = job;
   }
-  return launched;
+  // Insert before the first entry with strictly lower priority; within a
+  // priority band insertion order is preserved.
+  const auto at = std::partition_point(
+      pending_.begin(), pending_.end(),
+      [&job](const Entry& e) { return e.priority >= job.priority; });
+  pending_.insert(at, Entry{job.nodes, job.priority, slot});
+  ++submitted_;
 }
 
 std::int64_t JobScheduler::pending_nodes() const {
   std::int64_t sum = 0;
-  for (const auto& entry : pending_) sum += entry.job.nodes;
+  for (const Entry& entry : pending_) sum += entry.nodes;
   return sum;
 }
 

@@ -8,14 +8,19 @@
 // starts every job that fits — a "simple, greedy first-fit algorithm".
 // Restarted jobs are submitted with the highest priority so they reclaim an
 // allocation immediately ("restarted jobs are set to the highest priority").
+//
+// The queue is one flat vector of small (size, priority, slot) keys in scan
+// order; the jobs themselves sit in a slot slab, so inserting a restart near
+// the head and compacting after a pump move 16-byte keys, not whole jobs.
 
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <list>
+#include <cstdint>
+#include <vector>
 
 #include "platform/node_pool.hpp"
+#include "util/error.hpp"
 #include "workload/job.hpp"
 
 namespace coopcr {
@@ -23,20 +28,19 @@ namespace coopcr {
 /// Pending-queue manager with first-fit placement.
 class JobScheduler {
  public:
-  /// Invoked for every job the scheduler decides to start; the callee is
-  /// responsible for the job's lifecycle from then on (nodes are already
-  /// allocated in the pool when the callback runs).
-  using StartFn = std::function<void(const Job&)>;
-
   explicit JobScheduler(NodePool& pool);
 
   /// Add a job to the pending queue. Position honours (priority desc,
   /// submission order asc).
   void submit(const Job& job);
 
-  /// Scan the queue first-fit and start everything that fits.
+  /// Scan the queue first-fit and start everything that fits, calling
+  /// `start(const Job&)` for every job started; the callee is responsible
+  /// for the job's lifecycle from then on (nodes are already allocated in
+  /// the pool when it runs). `start` must not re-enter the scheduler.
   /// Returns the number of jobs started.
-  std::size_t pump(const StartFn& start);
+  template <typename Start>
+  std::size_t pump(Start&& start);
 
   std::size_t pending_count() const { return pending_.size(); }
   bool has_pending() const { return !pending_.empty(); }
@@ -50,15 +54,41 @@ class JobScheduler {
 
  private:
   struct Entry {
-    Job job;
-    std::size_t seq;  ///< submission order — FCFS tie-break within a priority
+    std::int64_t nodes;  ///< copy of the job's size: the scan reads only keys
+    int priority;
+    std::uint32_t slot;  ///< the job's index in `jobs_`
   };
 
   NodePool& pool_;
-  std::list<Entry> pending_;
-  std::size_t seq_ = 0;
+  std::vector<Entry> pending_;  ///< (priority desc, submission asc)
+  std::vector<Job> jobs_;       ///< slab of pending jobs, indexed by slot
+  std::vector<std::uint32_t> free_slots_;
+  bool pumping_ = false;
   std::size_t submitted_ = 0;
   std::size_t started_ = 0;
 };
+
+template <typename Start>
+std::size_t JobScheduler::pump(Start&& start) {
+  COOPCR_CHECK(!pumping_, "start callback re-entered the scheduler");
+  pumping_ = true;
+  std::size_t launched = 0;
+  std::size_t keep = 0;
+  for (const Entry entry : pending_) {
+    if (!pool_.can_allocate(entry.nodes)) {
+      pending_[keep++] = entry;
+      continue;
+    }
+    const Job& job = jobs_[entry.slot];
+    pool_.allocate(job.id, job.nodes);
+    free_slots_.push_back(entry.slot);
+    ++started_;
+    ++launched;
+    start(job);
+  }
+  pending_.resize(keep);
+  pumping_ = false;
+  return launched;
+}
 
 }  // namespace coopcr
