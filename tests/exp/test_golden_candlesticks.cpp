@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -205,6 +207,45 @@ TEST(GoldenCandlesticks, TieredCommitMatchesPinnedSummariesAndBeatsDirect) {
   EXPECT_NEAR(tw.median, 0.51426858822237231, kTol);
   EXPECT_NEAR(tw.q3, 0.62245551892406226, kTol);
   EXPECT_NEAR(tw.d9, 0.64837795584540336, kTol);
+}
+
+// The antithetic artifact pin: a two-point in-process sweep with every
+// estimator that consumes the pairing switched on (antithetic pairs, the
+// control variate, 2-bin post-stratification and the Oblivious-Daly
+// contrast), its CSV and JSON report bytes pinned by FNV-1a digest. Captured
+// from this implementation while the pair partner was still carried inside
+// its primal replica's slot; the one-slot-per-replica layout had to
+// reproduce these bytes exactly.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(GoldenCandlesticks, AntitheticEstimatorStackMatchesPinnedArtifactBytes) {
+  exp::ExperimentSpec spec(ScenarioBuilder::cielo_apex(/*seed=*/99)
+                               .min_makespan(units::days(6))
+                               .segment(units::days(1), units::days(5)),
+                           "golden_antithetic");
+  MonteCarloOptions options;
+  options.replicas = 8;
+  options.antithetic = true;
+  options.control_variate = true;
+  options.strata_bins = 2;
+  options.contrast_reference = "Oblivious-Daly";
+  spec.pfs_bandwidth_axis({80, 160})
+      .strategies({oblivious_daly(), least_waste()})
+      .options(options);
+  exp::SweepRunner runner(/*threads=*/2);
+  const exp::ExperimentReport report = runner.run(spec);
+  std::ostringstream csv;
+  std::ostringstream json;
+  report.write_csv(csv);
+  report.write_json(json);
+  EXPECT_EQ(csv.str().size(), 5664u);
+  EXPECT_EQ(fnv1a(csv.str()), 2502659888703960838ull);
+  EXPECT_EQ(json.str().size(), 8589u);
+  EXPECT_EQ(fnv1a(json.str()), 6220827004431026389ull);
 }
 
 // The Figure 1 bench's 160 GB/s row with the default seeds and 3 replicas,
