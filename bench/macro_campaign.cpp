@@ -58,8 +58,7 @@ Measurement run_campaign(const MonteCarloOptions& options) {
   opts.keep_results = true;
   // This section measures raw replica throughput; the estimator knobs from
   // the environment (COOPCR_TARGET_CI drives the replica-economy section
-  // below, and antithetic pairing is incompatible with keep_results) must
-  // not leak into it.
+  // below) must not leak into it.
   opts.antithetic = false;
   opts.control_variate = false;
   opts.target_ci_width = 0.0;

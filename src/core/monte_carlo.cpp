@@ -60,8 +60,6 @@ MonteCarloCampaign::MonteCarloCampaign(ScenarioConfig scenario,
                "ScenarioBuilder::build)");
   COOPCR_CHECK(!options_.antithetic || options_.replicas % 2 == 0,
                "antithetic pairing needs an even replica count");
-  COOPCR_CHECK(!options_.antithetic || !options_.keep_results,
-               "antithetic pairing is incompatible with keep_results");
   if (options_.contrast_active()) {
     for (std::size_t s = 0; s < strategies_.size(); ++s) {
       if (strategies_[s].name() == options_.contrast_reference) {
@@ -109,19 +107,16 @@ MonteCarloCampaign::MonteCarloCampaign(ScenarioConfig scenario,
 
 void MonteCarloCampaign::run_replica_task(int t) {
   COOPCR_CHECK(t >= 0 && t < tasks(), "task index out of range");
-  // Under antithetic pairing, task t owns the stream of replica 2t so the
-  // primal member stays bit-identical to replica 2t of a plain campaign.
-  const std::uint64_t replica = static_cast<std::uint64_t>(
-      options_.antithetic ? 2 * t : t);
-  Rng rng = Rng::stream(scenario_.seed, replica);
-  // The antithetic partner replays the *same* stream with every continuous
-  // uniform reflected (u' = 1 - u): its workload, failure trace and baseline
-  // are the mirror draw of the primal member's. Forking before any draw is
-  // what couples the whole replica — pairing only the failure gaps leaves
-  // the workload variance (which dominates the waste ratio on quiet
-  // scenarios) uncancelled.
-  Rng anti_rng = rng;
-  anti_rng.set_antithetic(true);
+  // Under antithetic pairing, odd replica 2p+1 replays replica 2p's stream
+  // with every continuous uniform reflected (u' = 1 - u): its workload,
+  // failure trace and baseline are the mirror draw of its partner's.
+  // Reflecting before any draw is what couples the whole replica — pairing
+  // only the failure gaps leaves the workload variance (which dominates the
+  // waste ratio on quiet scenarios) uncancelled.
+  const bool reflected = options_.antithetic && t % 2 == 1;
+  Rng rng = Rng::stream(scenario_.seed,
+                        static_cast<std::uint64_t>(reflected ? t - 1 : t));
+  rng.set_antithetic(reflected);
   WorkloadGenerator generator(scenario_.simulation.classes, scenario_.platform,
                               scenario_.workload);
   const std::vector<Job> jobs = generator.generate(rng);
@@ -129,13 +124,6 @@ void MonteCarloCampaign::run_replica_task(int t) {
                                   scenario_.simulation.segment_end);
   const std::vector<Failure> failures =
       scenario_.failures.generate(scenario_.platform, stop, rng);
-  std::vector<Job> anti_jobs;
-  std::vector<Failure> anti_failures;
-  if (options_.antithetic) {
-    anti_jobs = generator.generate(anti_rng);
-    anti_failures =
-        scenario_.failures.generate(scenario_.platform, stop, anti_rng);
-  }
 
   // One warm substrate per replica task: the baseline and every strategy run
   // reuse the same engine/IO slabs, so only the first run of the task pays
@@ -148,79 +136,26 @@ void MonteCarloCampaign::run_replica_task(int t) {
   out.slot.baseline_useful_energy = baseline.energy.useful();
   COOPCR_CHECK(out.slot.baseline_useful > 0.0,
                "baseline run produced no useful work — check the workload");
-  if (options_.antithetic) {
-    const SimulationResult anti_baseline =
-        simulate_baseline(scenario_.simulation, anti_jobs, workspace);
-    out.slot.baseline_useful_anti = anti_baseline.useful;
-    out.slot.baseline_useful_energy_anti = anti_baseline.energy.useful();
-    COOPCR_CHECK(out.slot.baseline_useful_anti > 0.0,
-                 "antithetic baseline run produced no useful work");
-  } else {
-    out.slot.baseline_useful_anti = 0.0;
-    out.slot.baseline_useful_energy_anti = 0.0;
-  }
   out.slot.cv_predictor =
-      cv_intercept_ +
-      cv_slope_ * static_cast<double>(failures.size());
-  out.slot.cv_predictor_anti =
-      options_.antithetic
-          ? cv_intercept_ +
-                cv_slope_ * static_cast<double>(anti_failures.size())
-          : 0.0;
+      cv_intercept_ + cv_slope_ * static_cast<double>(failures.size());
 
-  // Realised workload summaries for post-stratification (slot layout v3).
-  // Recorded unconditionally: one compose() pass per replica is noise next
-  // to the simulations, and always-on features keep the slot layout (and so
-  // the wire/journal formats) independent of the estimator options.
-  auto record_features = [&](const std::vector<Job>& work, double& total,
-                             double& count, double& max_share) {
-    const WorkloadComposition comp = generator.compose(work);
-    total = comp.total_node_seconds;
-    count = static_cast<double>(work.size());
-    max_share = 0.0;
-    for (const double share : comp.shares) {
-      max_share = std::max(max_share, share);
-    }
-  };
-  record_features(jobs, out.slot.work_total, out.slot.work_jobs,
-                  out.slot.work_max_share);
-  if (options_.antithetic) {
-    record_features(anti_jobs, out.slot.work_total_anti,
-                    out.slot.work_jobs_anti, out.slot.work_max_share_anti);
-  } else {
-    out.slot.work_total_anti = 0.0;
-    out.slot.work_jobs_anti = 0.0;
-    out.slot.work_max_share_anti = 0.0;
+  // Realised workload summaries for post-stratification. Recorded
+  // unconditionally: one compose() pass per replica is noise next to the
+  // simulations, and always-on features keep the slot layout (and so the
+  // wire/journal formats) independent of the estimator options.
+  const WorkloadComposition comp = generator.compose(jobs);
+  out.slot.work_total = comp.total_node_seconds;
+  out.slot.work_jobs = static_cast<double>(jobs.size());
+  out.slot.work_max_share = 0.0;
+  for (const double share : comp.shares) {
+    out.slot.work_max_share = std::max(out.slot.work_max_share, share);
   }
 
   // Metrics are finished at task time (not at reduce time) so a slot is a
   // flat double tuple any executor — local pool, worker process, journal
   // replay — can hand to reduce() bit-identically.
-  auto run_one = [&](const Strategy& strategy, const std::vector<Job>& work,
-                     const std::vector<Failure>& trace,
-                     double baseline_useful, double baseline_energy,
-                     std::vector<SimulationResult>* keep) {
-    SimulationConfig cfg = scenario_.simulation;
-    cfg.strategy = strategy;
-    SimulationResult result = simulate(cfg, work, trace, workspace);
-    ReplicaStrategyMetrics m;
-    m.waste_ratio = result.wasted / baseline_useful;
-    m.efficiency = result.useful / baseline_useful;
-    m.utilization = result.avg_utilization;
-    m.failures_hit = static_cast<double>(result.counters.failures_on_jobs);
-    m.checkpoints =
-        static_cast<double>(result.counters.checkpoints_completed);
-    m.energy_joules = result.energy.total();
-    m.energy_waste_ratio = result.energy.wasted() / baseline_energy;
-    m.ckpt_waste_ratio =
-        result.accounting.total(TimeCategory::kCheckpoint) / baseline_useful;
-    if (keep) keep->push_back(std::move(result));
-    return m;
-  };
-
   out.slot.per_strategy.clear();
   out.slot.per_strategy.reserve(strategies_.size());
-  out.slot.antithetic.clear();
   out.results.clear();
   if (options_.keep_results) out.results.reserve(strategies_.size());
   for (const Strategy& strategy : strategies_) {
@@ -235,25 +170,22 @@ void MonteCarloCampaign::run_replica_task(int t) {
       base_useful = again.useful;
       base_energy = again.energy.useful();
     }
-    out.slot.per_strategy.push_back(
-        run_one(strategy, jobs, failures, base_useful, base_energy,
-                options_.keep_results ? &out.results : nullptr));
-  }
-  if (options_.antithetic) {
-    out.slot.antithetic.reserve(strategies_.size());
-    for (const Strategy& strategy : strategies_) {
-      double base_useful = out.slot.baseline_useful_anti;
-      double base_energy = out.slot.baseline_useful_energy_anti;
-      if (!options_.share_baseline) {
-        const SimulationResult again =
-            simulate_baseline(scenario_.simulation, anti_jobs, workspace);
-        base_useful = again.useful;
-        base_energy = again.energy.useful();
-      }
-      out.slot.antithetic.push_back(run_one(strategy, anti_jobs, anti_failures,
-                                            base_useful, base_energy,
-                                            nullptr));
-    }
+    SimulationConfig cfg = scenario_.simulation;
+    cfg.strategy = strategy;
+    SimulationResult result = simulate(cfg, jobs, failures, workspace);
+    ReplicaStrategyMetrics m;
+    m.waste_ratio = result.wasted / base_useful;
+    m.efficiency = result.useful / base_useful;
+    m.utilization = result.avg_utilization;
+    m.failures_hit = static_cast<double>(result.counters.failures_on_jobs);
+    m.checkpoints =
+        static_cast<double>(result.counters.checkpoints_completed);
+    m.energy_joules = result.energy.total();
+    m.energy_waste_ratio = result.energy.wasted() / base_energy;
+    m.ckpt_waste_ratio =
+        result.accounting.total(TimeCategory::kCheckpoint) / base_useful;
+    out.slot.per_strategy.push_back(m);
+    if (options_.keep_results) out.results.push_back(std::move(result));
   }
   out.done = true;
 }
@@ -280,12 +212,6 @@ void MonteCarloCampaign::install_slot(int t, ReplicaSlot slot) {
                "slot carries " + std::to_string(slot.per_strategy.size()) +
                    " strategy tuples, campaign expects " +
                    std::to_string(strategies_.size()));
-  const std::size_t expected_anti =
-      options_.antithetic ? strategies_.size() : 0;
-  COOPCR_CHECK(slot.antithetic.size() == expected_anti,
-               "slot carries " + std::to_string(slot.antithetic.size()) +
-                   " antithetic tuples, campaign expects " +
-                   std::to_string(expected_anti));
   ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
   COOPCR_CHECK(!out.done, "replica task " + std::to_string(t) +
                               " already has results — duplicate work unit");
@@ -304,10 +230,9 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
     report.outcomes[s].strategy = strategies_[s];
   }
   // Waste-ratio samples (and, under control variates, their predictors) per
-  // strategy, in fold order: under antithetic pairing that is primal(t),
-  // anti(t), primal(t+1), ... — the even/odd layout estimate_mean pairs on.
-  // The contrast estimator needs the same per-strategy alignment, so it
-  // shares the collection.
+  // strategy, in replica order: under antithetic pairing that is the
+  // even/odd layout estimate_mean pairs on. The contrast estimator needs the
+  // same per-strategy alignment, so it shares the collection.
   const bool collect_samples = report.vr_enabled || report.contrast_enabled;
   std::vector<std::vector<double>> vr_samples;
   std::vector<std::vector<double>> vr_predictors;
@@ -315,71 +240,41 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
     vr_samples.resize(strategies_.size());
     if (options_.control_variate) vr_predictors.resize(strategies_.size());
   }
-  // One shared stratification-feature stream (per sample, same interleaved
-  // order) — the feature is a property of the replica draw, not the
-  // strategy.
+  // One shared stratification-feature stream (per sample, same order) — the
+  // feature is a property of the replica draw, not the strategy.
   const bool stratify = options_.strata_bins > 1;
   std::vector<double> strata_features;
-  auto slot_feature = [&](const ReplicaSlot& slot, bool anti) {
-    if (options_.strata_feature == "work_jobs") {
-      return anti ? slot.work_jobs_anti : slot.work_jobs;
-    }
+  auto slot_feature = [&](const ReplicaSlot& slot) {
+    if (options_.strata_feature == "work_jobs") return slot.work_jobs;
     if (options_.strata_feature == "work_max_share") {
-      return anti ? slot.work_max_share_anti : slot.work_max_share;
+      return slot.work_max_share;
     }
-    return anti ? slot.work_total_anti : slot.work_total;
+    return slot.work_total;
   };
 
-  auto fold_tuple = [&](StrategyOutcome& outcome,
-                        const ReplicaStrategyMetrics& m) {
-    outcome.waste_ratio.add(m.waste_ratio);
-    outcome.efficiency.add(m.efficiency);
-    outcome.utilization.add(m.utilization);
-    outcome.failures_hit.add(m.failures_hit);
-    outcome.checkpoints.add(m.checkpoints);
-    outcome.energy_joules.add(m.energy_joules);
-    outcome.energy_waste_ratio.add(m.energy_waste_ratio);
-    outcome.ckpt_waste_ratio.add(m.ckpt_waste_ratio);
-  };
-
-  // Deterministic reduction in task order.
+  // Deterministic reduction in replica order.
   for (int t = 0; t < tasks(); ++t) {
     ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
     COOPCR_CHECK(out.done, "replica task " + std::to_string(t) +
                                " never ran — reduce() before completion");
     report.baseline_useful.add(out.slot.baseline_useful);
     report.baseline_useful_energy.add(out.slot.baseline_useful_energy);
-    if (options_.antithetic) {
-      // The partner draws its own mirrored workload, so it folds its own
-      // baseline denominators — the report's baseline sample count stays
-      // replicas(), not tasks().
-      report.baseline_useful.add(out.slot.baseline_useful_anti);
-      report.baseline_useful_energy.add(out.slot.baseline_useful_energy_anti);
-    }
-    if (stratify) {
-      strata_features.push_back(slot_feature(out.slot, /*anti=*/false));
-      if (options_.antithetic) {
-        strata_features.push_back(slot_feature(out.slot, /*anti=*/true));
-      }
-    }
+    if (stratify) strata_features.push_back(slot_feature(out.slot));
     for (std::size_t s = 0; s < strategies_.size(); ++s) {
       StrategyOutcome& outcome = report.outcomes[s];
       const ReplicaStrategyMetrics& m = out.slot.per_strategy[s];
-      fold_tuple(outcome, m);
+      outcome.waste_ratio.add(m.waste_ratio);
+      outcome.efficiency.add(m.efficiency);
+      outcome.utilization.add(m.utilization);
+      outcome.failures_hit.add(m.failures_hit);
+      outcome.checkpoints.add(m.checkpoints);
+      outcome.energy_joules.add(m.energy_joules);
+      outcome.energy_waste_ratio.add(m.energy_waste_ratio);
+      outcome.ckpt_waste_ratio.add(m.ckpt_waste_ratio);
       if (collect_samples) {
         vr_samples[s].push_back(m.waste_ratio);
         if (options_.control_variate) {
           vr_predictors[s].push_back(out.slot.cv_predictor);
-        }
-      }
-      if (options_.antithetic) {
-        const ReplicaStrategyMetrics& anti = out.slot.antithetic[s];
-        fold_tuple(outcome, anti);
-        if (collect_samples) {
-          vr_samples[s].push_back(anti.waste_ratio);
-          if (options_.control_variate) {
-            vr_predictors[s].push_back(out.slot.cv_predictor_anti);
-          }
         }
       }
       if (options_.keep_results && destructive) {
@@ -437,8 +332,6 @@ void MonteCarloCampaign::extend(int new_replicas) {
                "campaign already reduced — extend() before reduce()");
   COOPCR_CHECK(new_replicas >= options_.replicas,
                "extend() cannot shrink the campaign");
-  COOPCR_CHECK(!options_.antithetic || new_replicas % 2 == 0,
-               "antithetic pairing needs an even replica count");
   options_.replicas = new_replicas;
   outputs_.resize(static_cast<std::size_t>(tasks()));
 }

@@ -42,10 +42,10 @@ struct MonteCarloOptions {
 
   /// Simulate replicas in antithetic pairs: pair p covers replicas 2p (the
   /// plain stream — bit-identical to a non-antithetic run of that replica)
-  /// and a partner drawn from the *reflected* copy of the same stream
+  /// and 2p+1, drawn from the *reflected* copy of the same stream
   /// (Rng antithetic mode: every continuous uniform inverted, u' = 1 - u),
   /// so the partner's workload, failure trace and baseline mirror the primal
-  /// draw. Requires an even replica count; incompatible with keep_results.
+  /// draw. Requires an even replica count.
   bool antithetic = false;
   /// Adjust the waste-ratio estimate with the closed-form first-order waste
   /// prediction (core/lower_bound) evaluated at each replica's failure
@@ -189,40 +189,25 @@ struct ReplicaStrategyMetrics {
   double ckpt_waste_ratio = 0.0;
 };
 
-/// Everything one replica *task* contributes to the reduced report: the
-/// baseline denominators plus one metric tuple per strategy (in strategy
-/// order). Under antithetic pairing one task covers two replicas and the
-/// slot carries a second tuple vector (`antithetic`, same strategy order)
-/// plus the partner's own baseline denominators (the partner draws its own
-/// mirrored workload) and the control-variate predictor of each member;
-/// otherwise those v2 fields stay empty/zero. The dist wire protocol and
-/// campaign journal serialise all of it (slot layout v2), so paired
-/// campaigns keep the bit-exact process/resume invariance.
+/// Everything one replica contributes to the reduced report: the baseline
+/// denominators, one metric tuple per strategy (in strategy order), the
+/// control-variate predictor and the realised workload features. An
+/// antithetic partner is an ordinary replica with its own slot. The dist
+/// wire protocol and campaign journal serialise all of it (slot layout v4),
+/// so every campaign keeps the bit-exact process/resume invariance.
 struct ReplicaSlot {
   double baseline_useful = 0.0;
   double baseline_useful_energy = 0.0;
-  /// Antithetic partner's baseline denominators (0 when not paired).
-  double baseline_useful_anti = 0.0;
-  double baseline_useful_energy_anti = 0.0;
   std::vector<ReplicaStrategyMetrics> per_strategy;
-  /// Antithetic partner's tuples (antithetic pairing only).
-  std::vector<ReplicaStrategyMetrics> antithetic;
-  /// Closed-form waste prediction at the primal replica's failure count.
+  /// Closed-form waste prediction at the replica's failure count.
   double cv_predictor = 0.0;
-  /// Same, for the antithetic partner (0 when not paired).
-  double cv_predictor_anti = 0.0;
-  /// Realised workload summaries of the primal replica's job list (slot
-  /// layout v3) — always recorded, they cost one compose() pass: total
-  /// submitted node-seconds, job count, and the largest class share.
-  /// Post-stratification (MonteCarloOptions::strata_bins) bins on one of
-  /// them at reduce time.
+  /// Realised workload summaries of the replica's job list — always
+  /// recorded, they cost one compose() pass: total submitted node-seconds,
+  /// job count, and the largest class share. Post-stratification
+  /// (MonteCarloOptions::strata_bins) bins on one of them at reduce time.
   double work_total = 0.0;
   double work_jobs = 0.0;
   double work_max_share = 0.0;
-  /// Same, for the antithetic partner's mirrored job list (0 unpaired).
-  double work_total_anti = 0.0;
-  double work_jobs_anti = 0.0;
-  double work_max_share_anti = 0.0;
 };
 
 /// One campaign decomposed into schedulable replica tasks.
@@ -243,24 +228,21 @@ struct ReplicaSlot {
 /// slot(), ships the doubles over the wire, and the coordinator calls
 /// install_slot() — reduce() cannot tell the difference.
 ///
-/// Without antithetic pairing, task t is exactly replica t. With it, task t
-/// covers the antithetic pair (2t, partner): the primal member draws its
-/// initial conditions from Rng::stream(seed, 2t) exactly as a plain replica
-/// 2t would, and the partner draws its own workload, baseline and failure
-/// trace from the reflected copy of that stream, so tasks() == replicas()/2.
+/// Task t is replica t in every mode. Replica t draws its initial
+/// conditions from Rng::stream(seed, t), except that under antithetic
+/// pairing an odd replica 2p+1 draws from the reflected copy of stream
+/// (seed, 2p).
 class MonteCarloCampaign {
  public:
   /// Validates the inputs (non-empty strategy set, positive replicas, built
-  /// scenario, even replica count when antithetic, no keep_results with
-  /// antithetic) — throws coopcr::Error otherwise.
+  /// scenario, even replica count when antithetic) — throws coopcr::Error
+  /// otherwise.
   MonteCarloCampaign(ScenarioConfig scenario, std::vector<Strategy> strategies,
                      MonteCarloOptions options);
 
   int replicas() const { return options_.replicas; }
-  /// Schedulable task count: replicas(), halved under antithetic pairing.
-  int tasks() const {
-    return options_.antithetic ? options_.replicas / 2 : options_.replicas;
-  }
+  /// Schedulable task count: one task per replica.
+  int tasks() const { return options_.replicas; }
   const ScenarioConfig& scenario() const { return scenario_; }
   const std::vector<Strategy>& strategies() const { return strategies_; }
   const MonteCarloOptions& options() const { return options_; }
@@ -279,8 +261,7 @@ class MonteCarloCampaign {
 
   /// Install a slot computed elsewhere (a worker process or a journal
   /// replay) as task `t`'s output. The slot must carry exactly one
-  /// metric tuple per strategy (and, when antithetic, one partner tuple per
-  /// strategy); incompatible with options.keep_results (full
+  /// metric tuple per strategy; incompatible with options.keep_results (full
   /// SimulationResults never cross the process boundary). Installing over an
   /// already-done slot throws — a duplicated work unit is a dispatcher bug,
   /// not something to paper over.
@@ -300,8 +281,8 @@ class MonteCarloCampaign {
   /// and throws after reduce().
   MonteCarloReport snapshot() const;
 
-  /// Grow the campaign to `new_replicas` (>= the current count; preserving
-  /// pair parity when antithetic). Existing slots are untouched — only the
+  /// Grow the campaign to `new_replicas` (>= the current count). Existing
+  /// slots are untouched — only the
   /// new tail needs running — so a snapshot-extend-run loop is bit-identical
   /// to a fixed-count campaign started at the final size. Throws after
   /// reduce().

@@ -246,22 +246,20 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     }
   }
 
-  // Pending units in (point, task) order; dispatch order does not matter
-  // for the results (slots are preassigned), only for load balance. Under
-  // antithetic pairing one unit is a replica *pair*, so the per-point unit
-  // count is tasks() (replicas / 2), not header.replicas. Sequential
-  // stopping refills the queue at every round boundary from the grown
-  // campaign sizes; slot_done is the authoritative "already ran" record, so
-  // a refill can never duplicate a unit.
+  // Pending units in (point, replica) order; dispatch order does not matter
+  // for the results (slots are preassigned), only for load balance.
+  // Sequential stopping refills the queue at every round boundary from the
+  // grown campaign sizes; slot_done is the authoritative "already ran"
+  // record, so a refill can never duplicate a unit.
   std::deque<UnitMsg> pending;
   std::size_t outstanding = 0;
   auto refill_pending = [&]() {
     pending.clear();
     for (std::uint32_t p = 0; p < header.points; ++p) {
-      const auto tasks = static_cast<std::uint32_t>(campaigns[p]->tasks());
-      for (std::uint32_t t = 0; t < tasks; ++t) {
-        if (!campaigns[p]->slot_done(static_cast<int>(t))) {
-          pending.push_back(UnitMsg{p, t});
+      const auto count = static_cast<std::uint32_t>(campaigns[p]->replicas());
+      for (std::uint32_t r = 0; r < count; ++r) {
+        if (!campaigns[p]->slot_done(static_cast<int>(r))) {
+          pending.push_back(UnitMsg{p, r});
         }
       }
     }

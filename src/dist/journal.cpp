@@ -129,8 +129,9 @@ std::uint64_t spec_digest(const exp::ExperimentSpec& spec,
   h.str("coopcr-spec-digest-v2");
   h.str(spec.name());
   h.u32(static_cast<std::uint32_t>(spec.campaign_options().replicas));
-  // The variance-reduction options change what a work unit *is* (a pair vs
-  // a single replica, predictors or not), so they are part of the identity.
+  // The variance-reduction options change what a work unit computes (a
+  // reflected stream for odd replicas, predictors or not), so they are part
+  // of the identity.
   h.u32(spec.campaign_options().antithetic ? 1 : 0);
   h.u32(spec.campaign_options().control_variate ? 1 : 0);
   // The sequential-stopping and contrast/stratification options decide the

@@ -18,16 +18,11 @@
 //   record*  u32 len | u64 fnv1a(payload) | payload
 //            payload = u32 point, u32 replica, ReplicaSlot (wire encoding)
 //
-// Format version 2 (slot layout v2): each record's ReplicaSlot additionally
-// carries the antithetic partner's own baseline denominators (useful work +
-// energy — the partner simulates its own mirrored workload), the partner
-// tuples (u32 count, 0 for unpaired campaigns, + the same 8-double tuples)
-// and two control-variate predictor doubles (primal + partner), matching
-// wire kProtocolVersion 2. Under antithetic pairing the
-// record's `replica` field holds the *task* index (< replicas / 2); the
-// spec digest folds the antithetic/control-variate options in, so a v2
-// journal can never be replayed into a campaign with a different pairing.
-// Version-1 journals refuse to resume (format_version mismatch).
+// Format version 2 (slot layout v2): each record's ReplicaSlot gained the
+// variance-reduction fields of wire kProtocolVersion 2 — a pair partner's
+// baselines and tuples and two control-variate predictor doubles. The spec
+// digest folds the pairing and control-variate options in, so a journal can
+// never be replayed into a campaign with a different pairing.
 //
 // Format version 3 (slot layout v3, sequential stopping): record payloads
 // now lead with a u16 record kind. Kind 1 (unit) is the v2 payload — u32
@@ -40,8 +35,12 @@
 // header's initial count does not cover, and are validated against the
 // running per-point counts instead. The spec digest folds the sequential-
 // stopping and contrast/stratification options in, so a journal can never
-// be replayed under a different stopping rule. v1/v2 journals refuse to
-// resume (format_version mismatch).
+// be replayed under a different stopping rule.
+//
+// Format version 4 (slot layout v4): the pair-partner fields are gone. A
+// partner is an ordinary replica, so every unit record holds one replica's
+// slot and its `replica` field is the replica index in every mode. Journals
+// of any earlier version refuse to resume (format_version mismatch).
 //
 // Torn-write discipline: every record is length-prefixed and checksummed.
 // A record cut short by a crash — or whose checksum fails at the *end* of
@@ -73,8 +72,9 @@ inline constexpr const char* kCodeVersion = "coopcr-7";
 
 /// Journal file format version (layout changes only). v2: slot layout
 /// gained the variance-reduction fields; v3: typed records (unit + round
-/// boundary) and the slot workload features (see the header comment).
-inline constexpr std::uint32_t kJournalFormatVersion = 3;
+/// boundary) and the slot workload features; v4: one replica per unit
+/// record, pair-partner fields gone (see the header comment).
+inline constexpr std::uint32_t kJournalFormatVersion = 4;
 
 /// FNV-1a 64-bit over `data` (checksums and the spec digest).
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

@@ -251,27 +251,18 @@ std::vector<ReplicaStrategyMetrics> decode_tuples(Decoder& dec) {
 }  // namespace
 
 void encode_slot(Encoder& enc, const ReplicaSlot& slot) {
-  // Layout v3 (kProtocolVersion / journal format 3): the v2 layout — primal
-  // baselines + primal tuples, the antithetic partner's baselines and tuples
-  // (0.0 / count 0 for unpaired campaigns), two control-variate predictor
-  // doubles (0.0 when control variates are off) — followed by the six
-  // realised workload-feature doubles (primal total node-seconds, job
-  // count, max class share, then the antithetic partner's three, 0.0 when
-  // unpaired) that post-stratification bins on.
+  // Layout v4 (kProtocolVersion / journal format 4): the two baseline
+  // denominators, the per-strategy tuples (u32 count + 8 doubles each), the
+  // control-variate predictor (0.0 when control variates are off), then the
+  // three realised workload-feature doubles post-stratification bins on
+  // (total node-seconds, job count, max class share).
   enc.f64(slot.baseline_useful);
   enc.f64(slot.baseline_useful_energy);
   encode_tuples(enc, slot.per_strategy);
-  enc.f64(slot.baseline_useful_anti);
-  enc.f64(slot.baseline_useful_energy_anti);
-  encode_tuples(enc, slot.antithetic);
   enc.f64(slot.cv_predictor);
-  enc.f64(slot.cv_predictor_anti);
   enc.f64(slot.work_total);
   enc.f64(slot.work_jobs);
   enc.f64(slot.work_max_share);
-  enc.f64(slot.work_total_anti);
-  enc.f64(slot.work_jobs_anti);
-  enc.f64(slot.work_max_share_anti);
 }
 
 ReplicaSlot decode_slot(Decoder& dec) {
@@ -279,17 +270,10 @@ ReplicaSlot decode_slot(Decoder& dec) {
   slot.baseline_useful = dec.f64();
   slot.baseline_useful_energy = dec.f64();
   slot.per_strategy = decode_tuples(dec);
-  slot.baseline_useful_anti = dec.f64();
-  slot.baseline_useful_energy_anti = dec.f64();
-  slot.antithetic = decode_tuples(dec);
   slot.cv_predictor = dec.f64();
-  slot.cv_predictor_anti = dec.f64();
   slot.work_total = dec.f64();
   slot.work_jobs = dec.f64();
   slot.work_max_share = dec.f64();
-  slot.work_total_anti = dec.f64();
-  slot.work_jobs_anti = dec.f64();
-  slot.work_max_share_anti = dec.f64();
   return slot;
 }
 

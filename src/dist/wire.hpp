@@ -34,11 +34,12 @@
 namespace coopcr::dist {
 
 /// Bumped on any incompatible change to the frame or payload layout.
-/// v2: slot layout gained the variance-reduction fields (antithetic partner
+/// v2: slot layout gained the variance-reduction fields (pair-partner
 /// tuples + control-variate predictors). v3: slot layout gained the six
-/// realised workload-feature doubles post-stratification bins on — see
-/// encode_slot.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// realised workload-feature doubles post-stratification bins on. v4: the
+/// pair-partner fields are gone — a partner is an ordinary replica with its
+/// own unit and slot (see encode_slot).
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Upper bound on a frame payload; anything larger is a corrupt stream, not
 /// a real message (the largest real payload is a kResult slot: tens of

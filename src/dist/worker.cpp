@@ -60,12 +60,11 @@ void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
                                                     " outside the grid");
     MonteCarloCampaign& campaign = *campaigns[unit.point];
     // Sequential stopping dispatches units past the initial replica count:
-    // grow the campaign on demand. Task t's RNG stream depends only on
-    // (seed, t), so a worker that never saw the coordinator's extend rounds
+    // grow the campaign on demand. Replica r's RNG stream depends only on
+    // (seed, r), so a worker that never saw the coordinator's extend rounds
     // still produces the bit-identical slot.
     if (static_cast<int>(unit.replica) >= campaign.tasks()) {
-      const int needed = static_cast<int>(unit.replica) + 1;
-      campaign.extend(campaign.options().antithetic ? 2 * needed : needed);
+      campaign.extend(static_cast<int>(unit.replica) + 1);
     }
     campaign.run_replica_task(static_cast<int>(unit.replica));
     ++units_done;

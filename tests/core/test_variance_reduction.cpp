@@ -8,8 +8,8 @@
 //  * the control variate degenerates safely (constant predictor -> beta 0)
 //    and actually reduces variance (vr_factor > 1) on a failure-noise
 //    dominated row, where its premise holds;
-//  * option validation: odd replica counts and keep_results are rejected
-//    under antithetic pairing;
+//  * option validation: odd replica counts are rejected under antithetic
+//    pairing, and keep_results keeps one result per replica;
 //  * estimate_contrast arithmetic — per-replica paired differences, the
 //    unpaired two-sample vr_factor credit, antithetic and stratification
 //    composition — pinned to hand-computed values;
@@ -344,25 +344,35 @@ TEST(VarianceReduction, CombinedEstimatorStillBeatsPlainOnIsolatedRow) {
   EXPECT_GT(report.outcomes[0].vr.estimate.vr_factor, 1.05);
 }
 
-TEST(VarianceReduction, AntitheticRejectsOddReplicasAndKeepResults) {
+TEST(VarianceReduction, AntitheticRejectsOddReplicasAndKeepsResults) {
   const ScenarioConfig scenario = tiny_scenario();
   MonteCarloOptions odd;
   odd.replicas = 3;
   odd.antithetic = true;
   EXPECT_THROW(run_monte_carlo(scenario, {least_waste()}, odd), Error);
 
-  MonteCarloOptions keep;
-  keep.replicas = 2;
-  keep.antithetic = true;
-  keep.keep_results = true;
-  EXPECT_THROW(run_monte_carlo(scenario, {least_waste()}, keep), Error);
-
-  // extend() must preserve pair parity too.
-  MonteCarloOptions anti;
-  anti.replicas = 4;
+  // Every replica, partner included, keeps its full result; the primal
+  // members' results equal the plain run's.
+  MonteCarloOptions plain;
+  plain.replicas = 4;
+  plain.threads = 2;
+  plain.keep_results = true;
+  MonteCarloOptions anti = plain;
   anti.antithetic = true;
-  MonteCarloCampaign campaign(scenario, {least_waste()}, anti);
-  EXPECT_THROW(campaign.extend(5), Error);
+  const auto p = run_monte_carlo(scenario, {least_waste()}, plain);
+  const auto a = run_monte_carlo(scenario, {least_waste()}, anti);
+  const auto& pr = p.outcomes[0].results;
+  const auto& ar = a.outcomes[0].results;
+  ASSERT_EQ(ar.size(), 4u);
+  for (std::size_t r = 0; r < ar.size(); r += 2) {
+    EXPECT_EQ(ar[r].useful, pr[r].useful) << "replica " << r;
+    EXPECT_EQ(ar[r].wasted, pr[r].wasted) << "replica " << r;
+    EXPECT_EQ(ar[r].events, pr[r].events) << "replica " << r;
+    EXPECT_EQ(ar[r].events_scheduled, pr[r].events_scheduled)
+        << "replica " << r;
+    EXPECT_EQ(ar[r].counters.failures_on_jobs, pr[r].counters.failures_on_jobs)
+        << "replica " << r;
+  }
 }
 
 }  // namespace

@@ -235,10 +235,10 @@ TEST_F(DistRunnerTest, FreshRunRefusesAnExistingJournal) {
 }
 
 TEST_F(DistRunnerTest, AntitheticCampaignCrossesTheWireByteIdentically) {
-  // Slot layout v2 end-to-end: antithetic pairs (partner tuples + partner
-  // baselines + control-variate predictors) computed in worker processes,
-  // with the shared-baseline cache off so the per-strategy recomputation
-  // path crosses the wire too. Reports must match the in-process runner
+  // Antithetic pairs end to end: reflected-stream partner replicas and
+  // control-variate predictors computed in worker processes, with the
+  // shared-baseline cache off so the per-strategy recomputation path
+  // crosses the wire too. Reports must match the in-process runner
   // byte for byte, including a journaled run resumed from disk.
   exp::ExperimentSpec spec = grid_spec(/*replicas=*/4);
   MonteCarloOptions options = spec.campaign_options();
@@ -261,8 +261,8 @@ TEST_F(DistRunnerTest, AntitheticCampaignCrossesTheWireByteIdentically) {
   }
 
   // Journal the sweep, then rebuild the report purely from the journal: the
-  // v2 slot records must round-trip through disk as faithfully as through
-  // the pipe.
+  // slot records must round-trip through disk as faithfully as through the
+  // pipe.
   {
     dist::DistOptions dist_options;
     dist_options.shards = 2;

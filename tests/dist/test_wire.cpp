@@ -30,13 +30,10 @@ ReplicaSlot sample_slot() {
   slot.per_strategy[0].ckpt_waste_ratio = 0.0625;
   slot.per_strategy[1].waste_ratio = std::nextafter(1.0, 2.0);
   // Slot layout v3: realised workload features (post-stratification bins on
-  // these), including the antithetic partner's mirror.
+  // these).
   slot.work_total = 8.64e11 + 0.5;
   slot.work_jobs = 4096.0;
   slot.work_max_share = std::nextafter(0.66, 1.0);
-  slot.work_total_anti = 8.64e11 - 0.5;
-  slot.work_jobs_anti = 4097.0;
-  slot.work_max_share_anti = 0.25;
   return slot;
 }
 
@@ -62,9 +59,6 @@ TEST(Wire, SlotRoundTripIsBitExact) {
   EXPECT_TRUE(bit_equal(out.work_total, slot.work_total));
   EXPECT_TRUE(bit_equal(out.work_jobs, slot.work_jobs));
   EXPECT_TRUE(bit_equal(out.work_max_share, slot.work_max_share));
-  EXPECT_TRUE(bit_equal(out.work_total_anti, slot.work_total_anti));
-  EXPECT_TRUE(bit_equal(out.work_jobs_anti, slot.work_jobs_anti));
-  EXPECT_TRUE(bit_equal(out.work_max_share_anti, slot.work_max_share_anti));
   ASSERT_EQ(out.per_strategy.size(), slot.per_strategy.size());
   for (std::size_t s = 0; s < slot.per_strategy.size(); ++s) {
     const ReplicaStrategyMetrics& a = slot.per_strategy[s];
