@@ -158,18 +158,9 @@ void MonteCarloCampaign::run_replica_task(int t) {
   out.slot.per_strategy.reserve(strategies_.size());
   out.results.clear();
   if (options_.keep_results) out.results.reserve(strategies_.size());
+  const double base_useful = out.slot.baseline_useful;
+  const double base_energy = out.slot.baseline_useful_energy;
   for (const Strategy& strategy : strategies_) {
-    double base_useful = out.slot.baseline_useful;
-    double base_energy = out.slot.baseline_useful_energy;
-    if (!options_.share_baseline) {
-      // The toggle that makes the baseline cache testable: recompute the
-      // (deterministic) baseline for this strategy instead of sharing the
-      // task-level run. Byte-identical output, strictly more work.
-      const SimulationResult again =
-          simulate_baseline(scenario_.simulation, jobs, workspace);
-      base_useful = again.useful;
-      base_energy = again.energy.useful();
-    }
     SimulationConfig cfg = scenario_.simulation;
     cfg.strategy = strategy;
     SimulationResult result = simulate(cfg, jobs, failures, workspace);

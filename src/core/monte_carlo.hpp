@@ -58,11 +58,6 @@ struct MonteCarloOptions {
   double target_ci_width = 0.0;
   /// Replica cap for sequential stopping; 0 means 64 x replicas.
   int max_replicas = 0;
-  /// Compute the no-failure baseline once per replica task and share it
-  /// across all strategies (the default). Off re-runs the baseline per
-  /// strategy — byte-identical output, only slower; kept as a toggle so the
-  /// equivalence is testable.
-  bool share_baseline = true;
 
   // --- estimator upgrades, round two ----------------------------------------
 

@@ -9,7 +9,6 @@
 #include "sched/job_scheduler.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace coopcr {
 
@@ -48,8 +47,9 @@ enum class JobState {
   kOutputIo,      ///< blocking final output
 };
 
-/// The orchestrator. One instance per run; not reusable.
-class Runner {
+/// The orchestrator. One instance per run; not reusable. Listens to both I/O
+/// subsystems, tagging a job's blocking request with its serial.
+class Runner final : private IoListener {
  public:
   Runner(const SimulationConfig& config, const std::vector<Job>& jobs,
          const std::vector<Failure>& failures, detail::SimWorkspaceImpl& ws)
@@ -98,6 +98,7 @@ class Runner {
                    "job root must be an original job id");
     }
     lineage_max_.assign(static_cast<std::size_t>(next_job_id_), 0.0);
+    by_id_.assign(static_cast<std::size_t>(next_job_id_), nullptr);
     // Failure events (trace is pre-drawn so all strategies share it).
     for (const Failure& f : failures) {
       if (f.time >= stop_time_) continue;
@@ -137,6 +138,13 @@ class Runner {
     bool live() const { return serial != 0; }
   };
 
+  /// One absorbed-but-not-yet-durable snapshot draining through `io_`.
+  struct Drain {
+    RequestId id = kInvalidRequest;
+    double volume = 0.0;
+    double pos = 0.0;  ///< work position the snapshot captured
+  };
+
   struct JobRt {
     Job job;
     const ClassOnPlatform* cls = nullptr;
@@ -160,7 +168,7 @@ class Runner {
     // drain completion, never at absorb completion.
     double absorb_pos = 0.0;            ///< position of the absorbing commit
     sim::Time last_drained_end = 0.0;   ///< d_i reference for drain candidates
-    std::vector<RequestId> drains;      ///< outstanding drains (in `io_`)
+    std::vector<Drain> drains;          ///< outstanding drains, oldest first
   };
 
   // --- configuration plumbing -----------------------------------------------
@@ -181,6 +189,13 @@ class Runner {
                      cfg_.strategy.coordination().name() +
                      "' produced no token policy");
     return policy;
+  }
+
+  /// A running job's state; `what` names the event that expects one.
+  JobRt& running(JobId jid, const char* what) const {
+    JobRt* rt = by_id_[static_cast<std::size_t>(jid)];
+    COOPCR_ASSERT(rt != nullptr, what);
+    return *rt;
   }
 
   const ClassOnPlatform& cls_of(const Job& job) const {
@@ -322,9 +337,12 @@ class Runner {
     ++result_.counters.jobs_started;
     tr(job.id, TraceKind::kJobStart, IoKind::kInput,
        static_cast<double>(job.nodes));
-    auto [it, inserted] = jobs_.emplace(job.id, JobRt{});
+    auto [it, inserted] = jobs_.try_emplace(job.id);
     COOPCR_ASSERT(inserted, "duplicate job id started");
     JobRt& rt = it->second;
+    const auto slot = static_cast<std::size_t>(job.id);
+    if (slot >= by_id_.size()) by_id_.resize(slot + 1, nullptr);
+    by_id_[slot] = &rt;
     rt.job = job;
     rt.cls = &cls_of(job);
     rt.state = JobState::kInitialIo;
@@ -360,33 +378,28 @@ class Runner {
     request.kind = kind;
     request.volume = volume;
     request.nodes = rt.job.nodes;
-    const JobId jid = rt.job.id;
-    RequestCallbacks callbacks;
-    callbacks.on_start = [this, jid, serial](RequestId id) {
-      on_request_start(jid, serial, id);
-    };
-    callbacks.on_complete = [this, jid, serial](RequestId id) {
-      on_request_complete(jid, serial, id);
-    };
-    // submit() may invoke on_start — and through it arbitrary state
-    // transitions — synchronously. Only adopt the id if this request is
-    // still the job's live one afterwards.
+    // submit() may call on_io_start — and through it arbitrary state
+    // transitions, though none that ends a job — synchronously. Only adopt
+    // the id if this request is still the job's live one afterwards.
     IoSubsystem& target = bb ? *bb_io_ : *io_;
-    const RequestId id = target.submit(request, std::move(callbacks),
+    const RequestId id = target.submit(request, *this, serial,
                                        rt.last_ckpt_end,
                                        rt.cls->recovery_seconds);
-    auto it = jobs_.find(jid);
-    if (it != jobs_.end() && it->second.req.serial == serial &&
-        it->second.req.id == kInvalidRequest) {
-      it->second.req.id = id;
-    }
+    if (rt.req.serial == serial) rt.req.id = id;
   }
 
-  void on_request_start(JobId jid, std::uint64_t serial, RequestId id) {
-    auto it = jobs_.find(jid);
-    if (it == jobs_.end()) return;
-    JobRt& rt = it->second;
-    if (rt.req.serial != serial) return;  // stale notification
+  // --- IoListener ------------------------------------------------------------
+
+  void on_io_start(const IoRequest& request, RequestId id,
+                   std::uint64_t serial) override {
+    if (request.kind == IoKind::kDrain) {
+      tr(request.job, TraceKind::kIoStart, IoKind::kDrain, request.volume);
+      return;
+    }
+    // A torn-down request never notifies, so the job is always alive.
+    JobRt& rt = running(request.job, "I/O start for unknown job");
+    if (rt.req.serial != serial) return;  // stale
+    const JobId jid = request.job;
     rt.req.id = id;
     rt.req.started = engine_.now();
     tr(jid, TraceKind::kIoStart, rt.req.kind, rt.req.volume);
@@ -430,12 +443,15 @@ class Runner {
     rt.state = JobState::kCheckpointing;
   }
 
-  void on_request_complete(JobId jid, std::uint64_t serial,
-                           RequestId /*id*/) {
-    auto it = jobs_.find(jid);
-    if (it == jobs_.end()) return;
-    JobRt& rt = it->second;
-    if (rt.req.serial != serial) return;  // stale notification
+  void on_io_complete(const IoRequest& request, RequestId id,
+                      std::uint64_t serial) override {
+    if (request.kind == IoKind::kDrain) {
+      on_drain_complete(request.job, id);
+      return;
+    }
+    JobRt& rt = running(request.job, "I/O completion for unknown job");
+    if (rt.req.serial != serial) return;  // stale
+    const JobId jid = request.job;
     account_request_end(rt, /*completed=*/true, engine_.now());
     tr(jid, TraceKind::kIoEnd, rt.req.kind, rt.req.volume);
     const IoKind kind = rt.req.kind;
@@ -509,9 +525,7 @@ class Runner {
   }
 
   void on_milestone(JobId jid, double target) {
-    auto it = jobs_.find(jid);
-    COOPCR_ASSERT(it != jobs_.end(), "milestone for unknown job");
-    JobRt& rt = it->second;
+    JobRt& rt = running(jid, "milestone for unknown job");
     rt.milestone = sim::kInvalidEventId;
     COOPCR_ASSERT(rt.state == JobState::kComputing ||
                       rt.state == JobState::kCkptWaitNb,
@@ -559,9 +573,7 @@ class Runner {
   }
 
   void on_ckpt_timer(JobId jid) {
-    auto it = jobs_.find(jid);
-    COOPCR_ASSERT(it != jobs_.end(), "checkpoint timer for unknown job");
-    JobRt& rt = it->second;
+    JobRt& rt = running(jid, "checkpoint timer for unknown job");
     rt.ckpt_timer = sim::kInvalidEventId;
     if (rt.state != JobState::kComputing) {
       // Busy with routine I/O — remember and request at the next resume.
@@ -633,8 +645,8 @@ class Runner {
   /// fast-tier space is reclaimed); an already-draining transfer finishes.
   void enqueue_drain(JobRt& rt) {
     for (auto it = rt.drains.begin(); it != rt.drains.end();) {
-      if (io_->cancel(*it)) {
-        release_drain(*it);
+      if (io_->cancel(it->id)) {
+        bb_free_ += it->volume;
         ++result_.counters.bb_drains_superseded;
         it = rt.drains.erase(it);
       } else {
@@ -647,49 +659,27 @@ class Runner {
     request.kind = IoKind::kDrain;
     request.volume = rt.job.checkpoint_bytes;
     request.nodes = rt.job.nodes;
-    const JobId jid = rt.job.id;
-    RequestCallbacks callbacks;
-    callbacks.on_start = [this, jid](RequestId) {
-      auto it = jobs_.find(jid);
-      if (it != jobs_.end()) {
-        tr(jid, TraceKind::kIoStart, IoKind::kDrain,
-           it->second.job.checkpoint_bytes);
-      }
-    };
-    callbacks.on_complete = [this](RequestId id) { on_drain_complete(id); };
     const RequestId id =
-        io_->submit(request, std::move(callbacks), rt.last_drained_end,
+        io_->submit(request, *this, /*tag=*/0, rt.last_drained_end,
                     rt.cls->recovery_seconds);
-    drains_.emplace(id, DrainRec{jid, rt.job.checkpoint_bytes,
-                                 rt.absorb_pos});
-    rt.drains.push_back(id);
+    rt.drains.push_back(Drain{id, rt.job.checkpoint_bytes, rt.absorb_pos});
   }
 
-  /// Drop the bookkeeping of a drain that will never complete (cancelled,
-  /// aborted or torn down) and reclaim its fast-tier space.
-  void release_drain(RequestId id) {
-    auto it = drains_.find(id);
-    COOPCR_ASSERT(it != drains_.end(), "releasing unknown drain");
-    bb_free_ += it->second.volume;
-    drains_.erase(it);
-  }
-
-  void on_drain_complete(RequestId id) {
-    auto it = drains_.find(id);
-    COOPCR_ASSERT(it != drains_.end(), "completion for unknown drain");
-    const DrainRec rec = it->second;
-    drains_.erase(it);
-    bb_free_ += rec.volume;
+  void on_drain_complete(JobId jid, RequestId id) {
+    JobRt& rt = running(jid, "drain outlived its job");
+    const auto it =
+        std::find_if(rt.drains.begin(), rt.drains.end(),
+                     [id](const Drain& drain) { return drain.id == id; });
+    COOPCR_ASSERT(it != rt.drains.end(), "completion for unknown drain");
+    const Drain drain = *it;
+    rt.drains.erase(it);
+    bb_free_ += drain.volume;
     ++result_.counters.bb_drains_completed;
-    auto jit = jobs_.find(rec.jid);
-    COOPCR_ASSERT(jit != jobs_.end(), "drain outlived its job");
-    JobRt& rt = jit->second;
-    rt.drains.erase(std::find(rt.drains.begin(), rt.drains.end(), id));
     // The snapshot is durable now: restarts can resume from here.
     rt.has_snapshot = true;
-    rt.snapshot_pos = std::max(rt.snapshot_pos, rec.pos);
+    rt.snapshot_pos = std::max(rt.snapshot_pos, drain.pos);
     rt.last_drained_end = engine_.now();
-    tr(rec.jid, TraceKind::kIoEnd, IoKind::kDrain, rec.volume);
+    tr(jid, TraceKind::kIoEnd, IoKind::kDrain, drain.volume);
   }
 
   /// Tear down every outstanding drain of a finished or killed job. For a
@@ -697,9 +687,9 @@ class Runner {
   /// un-drained snapshots lived on the failed nodes' fast tier and are
   /// gone. At job completion the snapshots are merely obsolete.
   void abort_drains(JobRt& rt, bool lost) {
-    for (const RequestId id : rt.drains) {
-      io_->abort(id);
-      release_drain(id);
+    for (const Drain& drain : rt.drains) {
+      io_->abort(drain.id);
+      bb_free_ += drain.volume;
       if (lost) {
         ++result_.counters.bb_drains_aborted;
       } else {
@@ -725,6 +715,7 @@ class Runner {
     const JobId jid = rt.job.id;
     note_alloc_change();
     pool_.release(jid);
+    by_id_[static_cast<std::size_t>(jid)] = nullptr;
     jobs_.erase(jid);
     pump_scheduler();
   }
@@ -740,9 +731,7 @@ class Runner {
   }
 
   void kill_job(JobId jid) {
-    auto it = jobs_.find(jid);
-    COOPCR_ASSERT(it != jobs_.end(), "failure on unknown job");
-    JobRt& rt = it->second;
+    JobRt& rt = running(jid, "failure on unknown job");
     tr(jid, TraceKind::kFailure);
 
     // Close the open compute interval (if any).
@@ -805,7 +794,8 @@ class Runner {
        static_cast<double>(restart.id));
     note_alloc_change();
     pool_.release(jid);
-    jobs_.erase(it);
+    by_id_[static_cast<std::size_t>(jid)] = nullptr;
+    jobs_.erase(jid);
     scheduler_.submit(restart);
     pump_scheduler();
   }
@@ -852,22 +842,15 @@ class Runner {
   IoSubsystem* io_ = nullptr;  ///< workspace-owned
   SimulationResult result_;
 
-  /// One absorbed-but-not-yet-durable snapshot draining through `io_`.
-  struct DrainRec {
-    JobId jid = kNoJob;
-    double volume = 0.0;
-    double pos = 0.0;  ///< work position the snapshot captured
-  };
-
   IoSubsystem* bb_io_ = nullptr;  ///< workspace-owned fast tier (tiered only)
   bool tiered_ = false;
   double bb_free_ = 0.0;  ///< free fast-tier capacity (bytes)
-  std::unordered_map<RequestId, DrainRec> drains_;
 
-  // A hash map on purpose, though ids are dense: finalize() walks it and adds
-  // floating-point sums into `Accounting` in map order, so any other
-  // container order would change result bits.
+  // Lookups go through `by_id_`. The hash map stays only because finalize()
+  // adds floating-point sums into `Accounting` in its iteration order; any
+  // other container would change result bits.
   std::unordered_map<JobId, JobRt> jobs_;
+  std::vector<JobRt*> by_id_;  ///< into `jobs_` (nodes never move) or null
   /// Work high-water mark per lineage, indexed by root (an original job id,
   /// all below the initial next_job_id_).
   std::vector<double> lineage_max_;

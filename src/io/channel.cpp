@@ -22,12 +22,11 @@ FlowId make_flow_id(std::uint32_t slot, std::uint32_t generation) {
 }
 }  // namespace
 
-SharedChannel::SharedChannel(sim::Engine& engine, double bandwidth,
-                             InterferenceModel model, double alpha)
-    : engine_(engine), bandwidth_(bandwidth), model_(model), alpha_(alpha) {
-  COOPCR_CHECK(bandwidth_ > 0.0, "channel bandwidth must be positive");
-  COOPCR_CHECK(alpha_ >= 0.0, "degradation alpha must be non-negative");
-  last_advance_ = engine_.now();
+SharedChannel::SharedChannel(sim::Engine& engine, FlowSink& sink,
+                             double bandwidth, InterferenceModel model,
+                             double alpha)
+    : engine_(engine), sink_(sink) {
+  reset(bandwidth, model, alpha);
 }
 
 void SharedChannel::reset(double bandwidth, InterferenceModel model,
@@ -63,7 +62,6 @@ std::uint32_t SharedChannel::acquire_slot() {
 
 void SharedChannel::release_slot(std::uint32_t index) {
   Flow& flow = slots_[index];
-  flow.on_complete = nullptr;
   ++flow.generation;  // invalidate every outstanding handle
   flow.next_free = free_head_;
   free_head_ = index;
@@ -83,7 +81,7 @@ void SharedChannel::deactivate(std::uint32_t index) {
   const auto it = std::find(active_.begin(), active_.end(), index);
   COOPCR_ASSERT(it != active_.end(), "deactivating an inactive flow");
   total_weight_ -= slots_[index].weight;
-  active_.erase(it);  // order-preserving: callbacks fire in admission order
+  active_.erase(it);  // order-preserving: completions in admission order
 }
 
 double SharedChannel::flow_rate(std::int64_t weight) const {
@@ -113,8 +111,7 @@ void SharedChannel::advance() {
     busy_accum_ += dt;
     for (const std::uint32_t index : active_) {
       Flow& flow = slots_[index];
-      flow.remaining =
-          std::max(0.0, flow.remaining - flow_rate(flow.weight) * dt);
+      flow.remaining = std::max(0.0, flow.remaining - flow.rate * dt);
     }
   }
   last_advance_ = now;
@@ -129,10 +126,11 @@ void SharedChannel::reschedule() {
   if (active_.empty()) return;
   double min_ttf = std::numeric_limits<double>::infinity();
   for (const std::uint32_t index : active_) {
-    const Flow& flow = slots_[index];
-    const double rate = flow_rate(flow.weight);
-    COOPCR_ASSERT(rate > 0.0, "active flow with zero rate");
-    min_ttf = std::min(min_ttf, std::max(0.0, flow.remaining) / rate);
+    Flow& flow = slots_[index];
+    flow.rate = flow_rate(flow.weight);
+    COOPCR_ASSERT(flow.rate > 0.0, "active flow with zero rate");
+    flow.ttf = std::max(0.0, flow.remaining) / flow.rate;
+    min_ttf = std::min(min_ttf, flow.ttf);
   }
   // Remember every flow finishing at (or indistinguishably close to) the
   // event time: they complete *by construction* when the event fires, which
@@ -140,8 +138,7 @@ void SharedChannel::reschedule() {
   const double slack = 1e-9 * std::max(min_ttf, 1.0);
   for (const std::uint32_t index : active_) {
     const Flow& flow = slots_[index];
-    const double ttf = std::max(0.0, flow.remaining) / flow_rate(flow.weight);
-    if (ttf <= min_ttf + slack) {
+    if (flow.ttf <= min_ttf + slack) {
       expected_done_.push_back(make_flow_id(index, flow.generation));
     }
   }
@@ -149,18 +146,16 @@ void SharedChannel::reschedule() {
 }
 
 FlowId SharedChannel::start(double volume, std::int64_t weight,
-                            CompletionFn on_complete) {
+                            std::uint64_t token) {
   COOPCR_CHECK(volume >= 0.0, "flow volume must be non-negative");
   COOPCR_CHECK(weight > 0, "flow weight must be positive");
-  COOPCR_CHECK(static_cast<bool>(on_complete),
-               "flow needs a completion callback");
   advance();
   const std::uint32_t index = acquire_slot();
   Flow& flow = slots_[index];
   flow.remaining = volume;
   flow.volume = volume;
   flow.weight = weight;
-  flow.on_complete = std::move(on_complete);
+  flow.token = token;
   active_.push_back(index);
   total_weight_ += weight;
   reschedule();
@@ -180,7 +175,7 @@ bool SharedChannel::abort(FlowId id) {
 double SharedChannel::rate_of(FlowId id) const {
   const std::uint32_t index = live_slot(id);
   if (index == kNoSlot) return 0.0;
-  return flow_rate(slots_[index].weight);
+  return slots_[index].rate;
 }
 
 double SharedChannel::remaining_of(FlowId id) const {
@@ -189,14 +184,12 @@ double SharedChannel::remaining_of(FlowId id) const {
   const Flow& flow = slots_[index];
   // Advance analytically without mutating (const view).
   const double dt = engine_.now() - last_advance_;
-  return std::max(0.0, flow.remaining - flow_rate(flow.weight) * dt);
+  return std::max(0.0, flow.remaining - flow.rate * dt);
 }
 
 double SharedChannel::aggregate_rate() const {
   double sum = 0.0;
-  for (const std::uint32_t index : active_) {
-    sum += flow_rate(slots_[index].weight);
-  }
+  for (const std::uint32_t index : active_) sum += slots_[index].rate;
   return sum;
 }
 
@@ -209,18 +202,18 @@ double SharedChannel::busy_time() const {
 void SharedChannel::on_completion_event() {
   pending_event_ = sim::kInvalidEventId;
   advance();
-  // Collect every drained flow first, then mutate, then notify: completion
-  // callbacks may start new flows on this very channel (serial token pump).
-  // The flows this event was scheduled for complete by construction; any
-  // other flow whose residue drained to (near) zero joins them. Collection
-  // walks the admission-ordered active list, so simultaneous completions
-  // fire their callbacks in admission order — deterministically.
+  // Collect every drained flow first, then mutate, then notify: the sink
+  // may start new flows on this very channel (serial token pump). The flows
+  // this event was scheduled for complete by construction; any other flow
+  // whose residue drained to (near) zero joins them. Collection walks the
+  // admission-ordered active list, so simultaneous completions reach the
+  // sink in admission order — deterministically.
   finished_.clear();
   for (const FlowId id : expected_done_) {
     const std::uint32_t index = live_slot(id);
     if (index == kNoSlot) continue;  // aborted meanwhile
     Flow& flow = slots_[index];
-    finished_.emplace_back(id, std::move(flow.on_complete));
+    finished_.emplace_back(id, flow.token);
     bytes_done_ += flow.volume;
     flow.remaining = 0.0;
   }
@@ -228,7 +221,7 @@ void SharedChannel::on_completion_event() {
     Flow& flow = slots_[index];
     if (flow.remaining > 0.0 && flow.remaining <= kByteEpsilon) {
       finished_.emplace_back(make_flow_id(index, flow.generation),
-                             std::move(flow.on_complete));
+                             flow.token);
       bytes_done_ += flow.volume;
       flow.remaining = 0.0;
     }
@@ -237,17 +230,14 @@ void SharedChannel::on_completion_event() {
   // abort/start changed rates after this event was scheduled — reschedule()
   // cancels the stale event in those paths, so something drained here.
   COOPCR_ASSERT(!finished_.empty(), "completion event with no drained flow");
-  for (const auto& [id, fn] : finished_) {
+  for (const auto& [id, token] : finished_) {
     const std::uint32_t index = live_slot(id);
     COOPCR_ASSERT(index != kNoSlot, "finished flow vanished");
     deactivate(index);
     release_slot(index);
   }
   reschedule();
-  for (auto& [id, fn] : finished_) fn(id);
-  // Destroy the fired callbacks now: the scratch vector keeps its capacity,
-  // but captured state must not outlive the completion it belonged to.
-  finished_.clear();
+  for (const auto& [id, token] : finished_) sink_.on_flow_complete(id, token);
 }
 
 }  // namespace coopcr

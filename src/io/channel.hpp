@@ -22,8 +22,8 @@
 // FlowIds; the active set is a contiguous admission-ordered index vector and
 // the total interference weight is a cached aggregate maintained
 // incrementally — admissions and completions touch no hash table and never
-// re-sum weights. Completion callbacks are move-only (sim::InlineFunction),
-// so per-request callback state is moved, never duplicated.
+// re-sum weights. Rates are cached per active-set change. Completions go to
+// one FlowSink with the flow's token: there is no per-flow closure.
 
 #pragma once
 
@@ -32,7 +32,6 @@
 
 #include "io/request.hpp"
 #include "sim/engine.hpp"
-#include "sim/inline_fn.hpp"
 
 namespace coopcr {
 
@@ -47,16 +46,22 @@ enum class InterferenceModel {
 using FlowId = std::uint64_t;
 inline constexpr FlowId kInvalidFlow = 0;
 
+/// Receiver of a channel's flow completions.
+class FlowSink {
+ public:
+  /// `flow` (started with `token`) finished and left the channel.
+  virtual void on_flow_complete(FlowId flow, std::uint64_t token) = 0;
+
+ protected:
+  ~FlowSink() = default;
+};
+
 /// Processor-sharing bandwidth channel.
 class SharedChannel {
  public:
-  /// Called when a flow's last byte is transferred. Move-only; captures up
-  /// to the inline capacity are stored without allocation.
-  using CompletionFn = sim::InlineFunction<void(FlowId), 48>;
-
-  /// `bandwidth` — aggregated bytes/s; `alpha` — degradation coefficient for
-  /// kDegrading (ignored otherwise).
-  SharedChannel(sim::Engine& engine, double bandwidth,
+  /// `sink` — receives every completion; `bandwidth` — aggregated bytes/s;
+  /// `alpha` — degradation coefficient for kDegrading (ignored otherwise).
+  SharedChannel(sim::Engine& engine, FlowSink& sink, double bandwidth,
                 InterferenceModel model = InterferenceModel::kLinear,
                 double alpha = 0.0);
 
@@ -66,12 +71,13 @@ class SharedChannel {
   void reset(double bandwidth, InterferenceModel model, double alpha);
 
   /// Admit a flow transferring `volume` bytes with interference weight
-  /// `weight` (the job's node count). Zero-volume flows complete at the next
-  /// event dispatch (still asynchronously). Returns the flow handle.
-  FlowId start(double volume, std::int64_t weight, CompletionFn on_complete);
+  /// `weight` (the job's node count), reported to the sink with `token`.
+  /// Zero-volume flows complete at the next event dispatch (still
+  /// asynchronously). Returns the flow handle.
+  FlowId start(double volume, std::int64_t weight, std::uint64_t token);
 
-  /// Abort an active flow (failure killed the job). No completion callback
-  /// fires. Returns false if the flow is unknown (already completed).
+  /// Abort an active flow (failure killed the job). The sink hears nothing
+  /// of it. Returns false if the flow is unknown (already completed).
   bool abort(FlowId id);
 
   /// Number of currently active flows.
@@ -92,17 +98,16 @@ class SharedChannel {
   /// Total bytes fully transferred through the channel.
   double bytes_transferred() const { return bytes_done_; }
 
-  double bandwidth() const { return bandwidth_; }
-  InterferenceModel model() const { return model_; }
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   struct Flow {
     double remaining = 0.0;
     double volume = 0.0;  ///< original request size (for transfer accounting)
+    double rate = 0.0;    ///< flow_rate(weight) over the current active set
+    double ttf = 0.0;     ///< time to finish, as of the last reschedule()
     std::int64_t weight = 0;
-    CompletionFn on_complete;
+    std::uint64_t token = 0;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;
   };
@@ -112,7 +117,7 @@ class SharedChannel {
   /// Slab index of a live flow, or kNoSlot for stale/unknown handles.
   std::uint32_t live_slot(FlowId id) const;
   /// Remove a slot from the admission-ordered active list (order preserved —
-  /// completion callbacks fire in admission order, deterministically).
+  /// the sink hears of completions in admission order, deterministically).
   void deactivate(std::uint32_t index);
 
   /// Advance all remaining volumes to the current engine time.
@@ -125,9 +130,10 @@ class SharedChannel {
   double flow_rate(std::int64_t weight) const;
 
   sim::Engine& engine_;
-  double bandwidth_;
-  InterferenceModel model_;
-  double alpha_;
+  FlowSink& sink_;
+  double bandwidth_ = 0.0;
+  InterferenceModel model_ = InterferenceModel::kLinear;
+  double alpha_ = 0.0;
 
   std::vector<Flow> slots_;
   std::vector<std::uint32_t> active_;  ///< live slab indices, admission order
@@ -138,8 +144,8 @@ class SharedChannel {
   /// rounding in remaining-volume updates.
   std::vector<FlowId> expected_done_;
   /// Scratch for on_completion_event (reused across events — the handler
-  /// never re-enters itself, callbacks only run after state is consistent).
-  std::vector<std::pair<FlowId, CompletionFn>> finished_;
+  /// never re-enters itself, the sink only runs once state is consistent).
+  std::vector<std::pair<FlowId, std::uint64_t>> finished_;
   sim::Time last_advance_ = 0.0;
   sim::EventId pending_event_ = sim::kInvalidEventId;
 

@@ -11,12 +11,8 @@ IoSubsystem::IoSubsystem(sim::Engine& engine, double bandwidth,
                          double degradation_alpha,
                          std::unique_ptr<TokenPolicy> policy)
     : engine_(engine),
-      channel_(engine, bandwidth, interference, degradation_alpha),
-      mode_(mode),
-      policy_(std::move(policy)) {
-  if (mode_ == AdmissionMode::kSerial) {
-    COOPCR_CHECK(policy_ != nullptr, "serial admission needs a token policy");
-  }
+      channel_(engine, *this, bandwidth, interference, degradation_alpha) {
+  reset(bandwidth, mode, interference, degradation_alpha, std::move(policy));
 }
 
 void IoSubsystem::reset(double bandwidth, AdmissionMode mode,
@@ -53,7 +49,6 @@ std::uint32_t IoSubsystem::acquire_slot() {
 void IoSubsystem::release_slot(std::uint32_t index) {
   Record& rec = records_[index];
   rec.id = kInvalidRequest;
-  rec.callbacks = RequestCallbacks{};
   rec.flow = kInvalidFlow;
   rec.active = false;
   rec.next_free = free_head_;
@@ -68,10 +63,26 @@ std::uint32_t IoSubsystem::live_slot(RequestId id) const {
   return index;
 }
 
+RequestId IoSubsystem::submit(const IoRequest& request, IoListener& listener,
+                              std::uint64_t tag,
+                              sim::Time last_checkpoint_end,
+                              double recovery_seconds) {
+  return open(request, listener, tag, RequestCallbacks{}, last_checkpoint_end,
+              recovery_seconds);
+}
+
 RequestId IoSubsystem::submit(const IoRequest& request,
                               RequestCallbacks callbacks,
                               sim::Time last_checkpoint_end,
                               double recovery_seconds) {
+  return open(request, *this, /*tag=*/0, std::move(callbacks),
+              last_checkpoint_end, recovery_seconds);
+}
+
+RequestId IoSubsystem::open(const IoRequest& request, IoListener& listener,
+                            std::uint64_t tag, RequestCallbacks&& callbacks,
+                            sim::Time last_checkpoint_end,
+                            double recovery_seconds) {
   COOPCR_CHECK(request.volume >= 0.0, "request volume must be >= 0");
   COOPCR_CHECK(request.nodes > 0, "request weight (nodes) must be positive");
   const std::uint32_t index = acquire_slot();
@@ -80,6 +91,8 @@ RequestId IoSubsystem::submit(const IoRequest& request,
   Record& rec = records_[index];
   rec.id = id;
   rec.request = request;
+  rec.listener = &listener;
+  rec.tag = tag;
   rec.callbacks = std::move(callbacks);
   rec.submitted = engine_.now();
   rec.started = sim::kTimeNever;
@@ -112,13 +125,12 @@ void IoSubsystem::grant(RequestId id) {
   rec.active = true;
   stats_.total_wait_time += rec.started - rec.submitted;
   ++active_count_;
-  rec.flow = channel_.start(rec.request.volume, rec.request.nodes,
-                            [this, id](FlowId) { on_flow_complete(id); });
-  // Notify after internal state is consistent. The callback may re-enter
-  // submit() and grow the record slab, so it must be moved out of the
-  // (reallocatable) record before it runs — it fires exactly once anyway.
-  RequestCallbacks::Fn on_start = std::move(rec.callbacks.on_start);
-  if (on_start) on_start(id);
+  rec.flow = channel_.start(rec.request.volume, rec.request.nodes, id);
+  // Notify after internal state is consistent. The listener may re-enter
+  // submit() and grow the record slab, so it gets copies, not references
+  // into the (reallocatable) record.
+  const IoRequest request = rec.request;
+  rec.listener->on_io_start(request, id, rec.tag);
 }
 
 void IoSubsystem::pump() {
@@ -135,32 +147,55 @@ void IoSubsystem::pump() {
   pumping_ = false;
 }
 
-void IoSubsystem::on_flow_complete(RequestId id) {
+void IoSubsystem::on_flow_complete(FlowId /*flow*/, std::uint64_t token) {
+  const RequestId id = token;
   const std::uint32_t index = live_slot(id);
   COOPCR_ASSERT(index != kNoSlot, "completion for unknown request");
   Record& rec = records_[index];
-  RequestCallbacks::Fn on_complete = std::move(rec.callbacks.on_complete);
-  const sim::Time started = rec.started;
   COOPCR_ASSERT(rec.active, "completion for an inactive request");
+  const IoRequest request = rec.request;
+  IoListener* const listener = rec.listener;
+  const std::uint64_t tag = rec.tag;
+  const sim::Time started = rec.started;
   --active_count_;
   release_slot(index);
   ++stats_.completed;
   stats_.total_transfer_time += engine_.now() - started;
-  // Completion callback may submit follow-up requests; the token queue is
-  // already consistent (this request fully removed).
-  if (on_complete) on_complete(id);
+  // The listener may submit follow-up requests; the token queue is already
+  // consistent (this request fully removed).
+  listener->on_io_complete(request, id, tag);
   pump();
+}
+
+void IoSubsystem::on_io_start(const IoRequest&, RequestId id, std::uint64_t) {
+  // Moved out before it runs: it may re-enter submit() and grow the slab.
+  auto fn = std::move(records_[(id & kSlotMask) - 1].callbacks.on_start);
+  if (fn) fn(id);
+}
+
+void IoSubsystem::on_io_complete(const IoRequest&, RequestId id,
+                                 std::uint64_t) {
+  // The record is released but its slot not reused yet.
+  auto fn = std::move(records_[(id & kSlotMask) - 1].callbacks.on_complete);
+  if (fn) fn(id);
+}
+
+bool IoSubsystem::erase_pending(RequestId id) {
+  const auto it =
+      std::find_if(pending_.begin(), pending_.end(),
+                   [id](const PendingEntry& e) { return e.id == id; });
+  if (it == pending_.end()) return false;
+  pending_.erase(it);
+  return true;
 }
 
 bool IoSubsystem::cancel(RequestId id) {
   const std::uint32_t index = live_slot(id);
-  if (index == kNoSlot || records_[index].active) return false;
-  const auto pending_it =
-      std::find_if(pending_.begin(), pending_.end(),
-                   [id](const PendingEntry& e) { return e.id == id; });
   // In concurrent mode nothing is ever pending, so cancel() always fails.
-  if (pending_it == pending_.end()) return false;
-  pending_.erase(pending_it);
+  if (index == kNoSlot || records_[index].active || !erase_pending(id)) {
+    return false;
+  }
+  records_[index].callbacks = RequestCallbacks{};
   release_slot(index);
   ++stats_.cancelled;
   return true;
@@ -169,23 +204,17 @@ bool IoSubsystem::cancel(RequestId id) {
 bool IoSubsystem::abort(RequestId id) {
   const std::uint32_t index = live_slot(id);
   if (index == kNoSlot) return false;
-  Record& rec = records_[index];
-  if (rec.active) {
-    channel_.abort(rec.flow);
+  const bool active = records_[index].active;
+  if (active) {
+    channel_.abort(records_[index].flow);
     --active_count_;
-    release_slot(index);
-    ++stats_.aborted;
-    pump();  // token freed — hand it to the next candidate
-    return true;
+  } else {
+    erase_pending(id);
   }
-  const auto pending_it =
-      std::find_if(pending_.begin(), pending_.end(),
-                   [id](const PendingEntry& e) { return e.id == id; });
-  if (pending_it != pending_.end()) {
-    pending_.erase(pending_it);
-  }
+  records_[index].callbacks = RequestCallbacks{};  // no notification follows
   release_slot(index);
   ++stats_.aborted;
+  if (active) pump();  // token freed — hand it to the next candidate
   return true;
 }
 

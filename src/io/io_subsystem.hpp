@@ -16,10 +16,12 @@
 // Storage: request records live in a free-listed slab. A RequestId packs a
 // monotone submission sequence over the slab slot ((seq << 20) | slot+1), so
 // ids are O(1) to resolve without hashing *and* numerically ordered by
-// submission time — the ordering TokenPolicy tie-breaks rely on. Lifecycle
-// callbacks are move-only (sim::InlineFunction): submission moves them into
-// the record, completion moves them out — no std::function state is ever
-// duplicated per request.
+// submission time — the ordering TokenPolicy tie-breaks rely on.
+//
+// A record stores its submitter's IoListener and tag, through which grant
+// and completion notify: no per-request closure. The closure-style submit()
+// stores its RequestCallbacks in the record, with the subsystem itself as
+// the listener that runs them.
 
 #pragma once
 
@@ -40,7 +42,23 @@ enum class AdmissionMode {
   kSerial,      ///< one-at-a-time with a token policy
 };
 
-/// Lifecycle notifications for a request. Move-only.
+/// Receiver of request lifecycle notifications; requests are told apart by
+/// the tag they were submitted with. The listener may submit re-entrantly.
+class IoListener {
+ public:
+  /// Transfer begins (token granted / admitted) — synchronously from
+  /// submit() when admission is immediate.
+  virtual void on_io_start(const IoRequest& request, RequestId id,
+                           std::uint64_t tag) = 0;
+  /// Last byte transferred; the request has already left the subsystem.
+  virtual void on_io_complete(const IoRequest& request, RequestId id,
+                              std::uint64_t tag) = 0;
+
+ protected:
+  ~IoListener() = default;
+};
+
+/// Closure-style lifecycle notifications (the adapter submit()). Move-only.
 struct RequestCallbacks {
   /// Callback type; captures up to the inline capacity need no allocation.
   using Fn = sim::InlineFunction<void(RequestId), 48>;
@@ -62,13 +80,16 @@ struct IoSubsystemStats {
 };
 
 /// The platform's I/O front-end: queue + token + shared channel.
-class IoSubsystem {
+class IoSubsystem : private FlowSink, private IoListener {
  public:
   /// `policy` is required for kSerial and ignored for kConcurrent.
   IoSubsystem(sim::Engine& engine, double bandwidth, AdmissionMode mode,
               InterferenceModel interference = InterferenceModel::kLinear,
               double degradation_alpha = 0.0,
               std::unique_ptr<TokenPolicy> policy = nullptr);
+  // Its channel and its own records hold its address.
+  IoSubsystem(const IoSubsystem&) = delete;
+  IoSubsystem& operator=(const IoSubsystem&) = delete;
 
   /// Re-arm for a new run with fresh parameters, keeping slab/queue capacity.
   /// The engine must already be reset; behaves bit-identically to
@@ -77,8 +98,14 @@ class IoSubsystem {
              InterferenceModel interference, double degradation_alpha,
              std::unique_ptr<TokenPolicy> policy);
 
-  /// Submit a request. `last_checkpoint_end` / `recovery_seconds` feed the
-  /// Least-Waste candidate model (ignored by other policies).
+  /// Submit a request whose start and completion go to `listener` with
+  /// `tag`. `last_checkpoint_end` / `recovery_seconds` feed the Least-Waste
+  /// candidate model (ignored by other policies).
+  RequestId submit(const IoRequest& request, IoListener& listener,
+                   std::uint64_t tag, sim::Time last_checkpoint_end = 0.0,
+                   double recovery_seconds = 0.0);
+
+  /// Adapter: submit with closures instead of a listener.
   RequestId submit(const IoRequest& request, RequestCallbacks callbacks,
                    sim::Time last_checkpoint_end = 0.0,
                    double recovery_seconds = 0.0);
@@ -89,7 +116,7 @@ class IoSubsystem {
   bool cancel(RequestId id);
 
   /// Abort a request in any state (job failure). Active transfers are torn
-  /// down without completion callbacks. Returns false when unknown.
+  /// down without a completion notice. Returns false when unknown.
   bool abort(RequestId id);
 
   /// State queries.
@@ -105,8 +132,6 @@ class IoSubsystem {
   std::size_t active_count() const { return active_count_; }
 
   const IoSubsystemStats& stats() const { return stats_; }
-  SharedChannel& channel() { return channel_; }
-  AdmissionMode mode() const { return mode_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -118,7 +143,9 @@ class IoSubsystem {
   struct Record {
     RequestId id = kInvalidRequest;  ///< full id; kInvalidRequest when free
     IoRequest request;
-    RequestCallbacks callbacks;
+    IoListener* listener = nullptr;
+    std::uint64_t tag = 0;
+    RequestCallbacks callbacks;  ///< adapter closures; a free slot holds none
     sim::Time submitted = 0.0;
     sim::Time started = sim::kTimeNever;
     FlowId flow = kInvalidFlow;
@@ -131,13 +158,23 @@ class IoSubsystem {
   /// Slab index of a live request, or kNoSlot for stale/unknown ids.
   std::uint32_t live_slot(RequestId id) const;
 
+  /// Both submit() overloads: open a record holding `listener`, `tag` and
+  /// `callbacks` (empty unless the subsystem is the listener), then admit it.
+  RequestId open(const IoRequest& request, IoListener& listener,
+                 std::uint64_t tag, RequestCallbacks&& callbacks,
+                 sim::Time last_checkpoint_end, double recovery_seconds);
+  /// Remove `id` from the token queue; false when it is not queued.
+  bool erase_pending(RequestId id);
   void grant(RequestId id);
   void pump();
-  void on_flow_complete(RequestId id);
+  void on_flow_complete(FlowId flow, std::uint64_t token) override;
+  // Closure-style submissions: run the closures stored in the record.
+  void on_io_start(const IoRequest&, RequestId id, std::uint64_t) override;
+  void on_io_complete(const IoRequest&, RequestId id, std::uint64_t) override;
 
   sim::Engine& engine_;
   SharedChannel channel_;
-  AdmissionMode mode_;
+  AdmissionMode mode_ = AdmissionMode::kConcurrent;
   std::unique_ptr<TokenPolicy> policy_;
 
   std::vector<Record> records_;        ///< free-listed request slab

@@ -43,7 +43,6 @@ class JobScheduler {
   std::size_t pump(Start&& start);
 
   std::size_t pending_count() const { return pending_.size(); }
-  bool has_pending() const { return !pending_.empty(); }
 
   /// Sum of node requirements over pending jobs (diagnostics).
   std::int64_t pending_nodes() const;

@@ -1,19 +1,6 @@
 #include "sim/engine.hpp"
 
-#include "util/error.hpp"
-
 namespace coopcr::sim {
-
-EventId Engine::at(Time t, EventFn fn) {
-  return queue_.schedule(t, std::move(fn));
-}
-
-EventId Engine::after(Time delay, EventFn fn) {
-  COOPCR_CHECK(delay >= 0.0, "negative event delay");
-  return queue_.schedule(now_ + delay, std::move(fn));
-}
-
-bool Engine::cancel(EventId id) { return queue_.cancel(id); }
 
 void Engine::advance_to(Time t) {
   COOPCR_ASSERT(t >= now_, "time must be monotone");
@@ -21,18 +8,22 @@ void Engine::advance_to(Time t) {
   queue_.set_now(t);
 }
 
-std::uint64_t Engine::run(Time horizon) {
+std::uint64_t Engine::dispatch(Time horizon, std::uint64_t max_events) {
   stop_requested_ = false;
-  const bool bounded = horizon != kTimeNever;
   std::uint64_t n = 0;
-  while (!queue_.empty() && !stop_requested_) {
-    if (bounded && queue_.next_time() > horizon) break;
-    auto fired = queue_.pop();
-    advance_to(fired.time);
-    fired.fn();
+  while (n < max_events && !queue_.empty() && !stop_requested_) {
+    const Time t = queue_.next_time();
+    if (t > horizon) break;
+    advance_to(t);
+    queue_.fire_next();
     ++n;
     ++executed_;
   }
+  return n;
+}
+
+std::uint64_t Engine::run(Time horizon) {
+  const std::uint64_t n = dispatch(horizon, ~std::uint64_t{0});
   if (queue_.empty() && horizon != kTimeNever && now_ < horizon) {
     // Drained before the horizon: advance the clock so that now() reflects
     // the simulated span the caller asked for.
@@ -42,16 +33,7 @@ std::uint64_t Engine::run(Time horizon) {
 }
 
 std::uint64_t Engine::run_steps(std::uint64_t max_events) {
-  stop_requested_ = false;
-  std::uint64_t n = 0;
-  while (n < max_events && !queue_.empty() && !stop_requested_) {
-    auto fired = queue_.pop();
-    advance_to(fired.time);
-    fired.fn();
-    ++n;
-    ++executed_;
-  }
-  return n;
+  return dispatch(kTimeNever, max_events);
 }
 
 }  // namespace coopcr::sim

@@ -2,7 +2,7 @@
 //
 // Discrete-event simulation engine: the run loop around EventQueue.
 //
-// The engine owns the clock. Components schedule callbacks; the engine pops
+// The engine owns the clock. Components schedule callbacks; the engine fires
 // them in (time, sequence) order, advances `now()`, and invokes them. The
 // loop stops when the queue drains, when a configured horizon is reached, or
 // when a component calls `stop()`.
@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
+#include "util/error.hpp"
 
 namespace coopcr::sim {
 
@@ -25,13 +27,20 @@ class Engine {
   Time now() const { return now_; }
 
   /// Schedule `fn` to run at absolute time `t` (>= now()).
-  EventId at(Time t, EventFn fn);
+  template <typename F>
+  EventId at(Time t, F&& fn) {
+    return queue_.schedule(t, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
-  EventId after(Time delay, EventFn fn);
+  template <typename F>
+  EventId after(Time delay, F&& fn) {
+    COOPCR_CHECK(delay >= 0.0, "negative event delay");
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Cancel a scheduled event; no-op if already fired/cancelled.
-  bool cancel(EventId id);
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Run until the queue empties or `horizon` is passed. Events stamped
   /// exactly at the horizon still fire; later ones stay in the queue.
@@ -56,7 +65,8 @@ class Engine {
   /// Reset to a pristine state (t = 0, no events, zeroed counters) while
   /// keeping the queue's slab/heap capacity. A reset engine behaves
   /// bit-identically to a freshly constructed one — the basis of
-  /// per-replica engine reuse (core/simulation.hpp SimWorkspace).
+  /// per-replica engine reuse (core/simulation.hpp SimWorkspace). Throws
+  /// when called from inside an event callback.
   void reset() {
     queue_.clear();
     now_ = 0.0;
@@ -69,6 +79,8 @@ class Engine {
 
  private:
   void advance_to(Time t);
+  /// Fire events up to `horizon`, at most `max_events` of them.
+  std::uint64_t dispatch(Time horizon, std::uint64_t max_events);
 
   EventQueue queue_;
   Time now_ = 0.0;

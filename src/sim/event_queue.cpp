@@ -47,14 +47,6 @@ std::uint32_t EventQueue::acquire_slot() {
   return static_cast<std::uint32_t>(slot_count_++);
 }
 
-void EventQueue::release_slot(std::uint32_t index) {
-  Slot& slot = slot_at(index);
-  slot.id = kInvalidEventId;  // invalidate outstanding handles/calendar keys
-  slot.fn = nullptr;          // destroy the callback now, not at pop time
-  slot.next_free = free_head_;
-  free_head_ = index;
-}
-
 // --- calendar ----------------------------------------------------------------
 //
 // Keys are ordered by the exact integer day index floor(t / width): days are
@@ -95,7 +87,7 @@ void EventQueue::jump_to_earliest() const {
   current_day_ = day_of(best->time);
 }
 
-void EventQueue::refill() const {
+void EventQueue::refill_slow() const {
   while (!today_.empty() && !is_live(today_.back())) {
     today_.pop_back();  // cancelled while waiting in the serving window
     --stale_count_;
@@ -193,16 +185,10 @@ void EventQueue::rebuild() {
 
 // --- queue operations --------------------------------------------------------
 
-EventId EventQueue::schedule(Time t, EventFn fn) {
-  COOPCR_CHECK(std::isfinite(t), "event time must be finite");
-  COOPCR_CHECK(t >= now_, "cannot schedule an event in the past");
-  COOPCR_CHECK(static_cast<bool>(fn), "event callback must be callable");
-  const std::uint32_t index = acquire_slot();
+EventId EventQueue::enqueue(Time t, std::uint32_t index) {
   const EventId id =
       (next_seq_++ << kSlotBits) | static_cast<EventId>(index + 1);
-  Slot& slot = slot_at(index);
-  slot.id = id;
-  slot.fn = std::move(fn);
+  slot_at(index).id = id;
 
   if (bucket_count_ == 0) {
     bucket_count_ = kMinBuckets;
@@ -226,7 +212,10 @@ bool EventQueue::cancel(EventId id) {
   if (slot_plus_one == 0 || slot_plus_one > slot_count_) return false;
   const auto index = static_cast<std::uint32_t>(slot_plus_one - 1);
   if (slot_at(index).id != id) return false;  // stale: fired/cancelled
-  release_slot(index);
+  // Invalidate outstanding handles and calendar keys, and destroy the
+  // callback now, not at pop time.
+  slot_at(index).id = kInvalidEventId;
+  recycle_slot(index);
   COOPCR_ASSERT(live_count_ > 0, "live count underflow on cancel");
   --live_count_;
   ++stale_count_;
@@ -243,23 +232,51 @@ Time EventQueue::next_time() const {
   return today_.back().time;
 }
 
-EventQueue::Fired EventQueue::pop() {
+void EventQueue::recycle_slot(std::uint32_t index) {
+  Slot& slot = slot_at(index);
+  slot.fn = nullptr;
+  slot.next_free = free_head_;
+  free_head_ = index;
+}
+
+EventQueue::Key EventQueue::detach() {
   COOPCR_CHECK(live_count_ > 0, "pop() on empty event queue");
   refill();
   const Key top = today_.back();
   today_.pop_back();
-  const auto index = static_cast<std::uint32_t>((top.id & kSlotMask) - 1);
-  Slot& slot = slot_at(index);
-  Fired fired{top.time, top.id, std::move(slot.fn)};
-  release_slot(index);
+  slot_at((top.id & kSlotMask) - 1).id = kInvalidEventId;
   --live_count_;
   if (bucket_count_ > kMinBuckets && live_count_ * 16 < bucket_count_) {
     rebuild();  // drained far below the layout's population — shrink lazily
   }
+  return top;
+}
+
+void EventQueue::fire_next() {
+  const auto index = static_cast<std::uint32_t>((detach().id & kSlotMask) - 1);
+  // Recycle after the callback returns, also when it throws.
+  struct Firing {
+    EventQueue& queue;
+    std::uint32_t index;
+    ~Firing() {
+      queue.firing_ = false;
+      queue.recycle_slot(index);
+    }
+  } firing{*this, index};
+  firing_ = true;
+  slot_at(index).fn();
+}
+
+EventQueue::Fired EventQueue::pop() {
+  const Key top = detach();
+  const auto index = static_cast<std::uint32_t>((top.id & kSlotMask) - 1);
+  Fired fired{top.time, top.id, std::move(slot_at(index).fn)};
+  recycle_slot(index);
   return fired;
 }
 
 void EventQueue::clear() {
+  COOPCR_CHECK(!firing_, "event queue cleared from inside a firing callback");
   // Keep the chunks (stable capacity) but reset every created slot; ids and
   // slot allocation order restart exactly like a fresh queue.
   for (std::size_t i = 0; i < slot_count_; ++i) {

@@ -32,17 +32,21 @@
 //
 //  * Events carry a `sim::InlineFn` callback: the simulator's state machine
 //    is written as plain member functions bound at schedule time, and those
-//    small captures are stored inline — zero allocation per event.
+//    small captures are stored inline — zero allocation per event. The
+//    callback is built in its slab slot and fire_next() invokes it there.
 
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
+#include "util/error.hpp"
 
 namespace coopcr::sim {
 
@@ -65,7 +69,19 @@ class EventQueue {
 
   /// Schedule `fn` at absolute time `t`. Returns a handle for cancellation.
   /// `t` must be finite; scheduling in the past is a caller bug and throws.
-  EventId schedule(Time t, EventFn fn);
+  /// The callable is built in place in its slab slot; a rejected schedule
+  /// takes no sequence number.
+  template <typename F>
+  EventId schedule(Time t, F&& fn) {
+    COOPCR_CHECK(std::isfinite(t), "event time must be finite");
+    COOPCR_CHECK(t >= now_, "cannot schedule an event in the past");
+    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+      COOPCR_CHECK(static_cast<bool>(fn), "event callback must be callable");
+    }
+    const std::uint32_t index = acquire_slot();
+    slot_at(index).fn.emplace(std::forward<F>(fn));
+    return enqueue(t, index);
+  }
 
   /// Cancel a previously scheduled event. Cancelling an already-fired or
   /// already-cancelled event (a stale handle) is a safe no-op (returns
@@ -81,6 +97,13 @@ class EventQueue {
 
   /// Timestamp of the earliest live event; kTimeNever when empty.
   Time next_time() const;
+
+  /// Fire the earliest live event in place: its handle goes stale at once,
+  /// its callback runs inside its slab slot (chunks never move), then the
+  /// slot is recycled. Caller must check !empty() and set_now(next_time()).
+  /// The callback must not clear() the queue (that throws): it would destroy
+  /// the running callable.
+  void fire_next();
 
   /// Pop and return the earliest live event. Caller must check !empty().
   struct Fired {
@@ -159,14 +182,24 @@ class EventQueue {
   }
 
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t index);
+  /// Destroy a slot's callback and free it; its id is already invalid.
+  void recycle_slot(std::uint32_t index);
+  /// Stamp slot `index` with the next sequence number and put its key on
+  /// the calendar.
+  EventId enqueue(Time t, std::uint32_t index);
+  /// Take the earliest live key off the calendar; invalidates its slot's id.
+  Key detach();
 
   /// Exact integer day index of a timestamp — the one ordering primitive
   /// every calendar decision shares.
   std::uint64_t day_of(Time t) const;
   /// Ensure today_ serves the earliest live key (unless the queue is empty):
   /// strips stale keys and loads/sorts the next non-empty day on demand.
-  void refill() const;
+  void refill() const {
+    if (!today_.empty() && is_live(today_.back())) return;
+    refill_slow();
+  }
+  void refill_slow() const;
   /// Reposition the calendar on the globally earliest live key (used when a
   /// full bucket sweep finds nothing in range — sparse far-future events).
   void jump_to_earliest() const;
@@ -189,6 +222,7 @@ class EventQueue {
   mutable std::uint64_t current_day_ = 0;  ///< serving day index
   double width_ = 1.0;                     ///< day width (seconds)
   mutable std::size_t stale_count_ = 0;  ///< cancelled keys not yet dropped
+  bool firing_ = false;                  ///< fire_next() is running a callback
 
   std::size_t live_count_ = 0;
   std::uint64_t next_seq_ = 1;

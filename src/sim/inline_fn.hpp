@@ -9,14 +9,17 @@
 // captures (libstdc++'s inline buffer is two words) and is copyable, which
 // forces every stored callback to be copy-constructible. InlineFunction
 // stores captures up to `Capacity` bytes inline — zero allocation on the
-// steady-state path — and is move-only, so completion callbacks are moved,
-// never duplicated, through SharedChannel / IoSubsystem plumbing. Callables
-// larger than `Capacity` (or with throwing moves) fall back to one heap box,
-// preserving drop-in compatibility for tests and user code.
+// steady-state path — and is move-only, so callbacks are moved, never
+// duplicated; emplace() builds one in place. A trivially copyable capture
+// (every simulator lambda) has no manager: relocation is a memcpy,
+// destruction a no-op. Callables larger than `Capacity` (or with throwing
+// moves) fall back to one heap box, preserving drop-in compatibility for
+// tests and user code.
 
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -40,12 +43,7 @@ class InlineFunction<R(Args...), Capacity> {
                 !std::is_same_v<std::decay_t<F>, InlineFunction> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& fn) {  // NOLINT(runtime/explicit)
-    using Decayed = std::decay_t<F>;
-    using Ops = std::conditional_t<fits_inline<Decayed>(), InlineOps<Decayed>,
-                                   BoxedOps<Decayed>>;
-    Ops::construct(storage_, std::forward<F>(fn));
-    invoke_ = &Ops::invoke;
-    manage_ = &Ops::manage;
+    construct(std::forward<F>(fn));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -61,6 +59,18 @@ class InlineFunction<R(Args...), Capacity> {
   InlineFunction& operator=(std::nullptr_t) noexcept {
     destroy();
     return *this;
+  }
+
+  /// Replace the callable with `fn`, constructed in place (an InlineFunction
+  /// is moved in as is).
+  template <typename F>
+  void emplace(F&& fn) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+      *this = std::forward<F>(fn);
+    } else {
+      destroy();
+      construct(std::forward<F>(fn));
+    }
   }
 
   InlineFunction(const InlineFunction&) = delete;
@@ -88,11 +98,24 @@ class InlineFunction<R(Args...), Capacity> {
   }
 
   template <typename F>
-  struct InlineOps {
-    template <typename G>
-    static void construct(void* dst, G&& fn) {
-      ::new (dst) F(std::forward<G>(fn));
+  void construct(F&& fn) {
+    using Decayed = std::decay_t<F>;
+    if constexpr (fits_inline<Decayed>()) {
+      ::new (static_cast<void*>(storage_)) Decayed(std::forward<F>(fn));
+      invoke_ = &InlineOps<Decayed>::invoke;
+      manage_ = std::is_trivially_copyable_v<Decayed>
+                    ? nullptr
+                    : &InlineOps<Decayed>::manage;
+    } else {
+      ::new (static_cast<void*>(storage_))
+          Decayed*(new Decayed(std::forward<F>(fn)));
+      invoke_ = &BoxedOps<Decayed>::invoke;
+      manage_ = &BoxedOps<Decayed>::manage;
     }
+  }
+
+  template <typename F>
+  struct InlineOps {
     static R invoke(void* self, Args&&... args) {
       return (*static_cast<F*>(self))(std::forward<Args>(args)...);
     }
@@ -105,10 +128,6 @@ class InlineFunction<R(Args...), Capacity> {
 
   template <typename F>
   struct BoxedOps {
-    template <typename G>
-    static void construct(void* dst, G&& fn) {
-      *static_cast<F**>(dst) = new F(std::forward<G>(fn));
-    }
     static R invoke(void* self, Args&&... args) {
       return (**static_cast<F**>(self))(std::forward<Args>(args)...);
     }
@@ -127,17 +146,17 @@ class InlineFunction<R(Args...), Capacity> {
     manage_ = other.manage_;
     if (manage_ != nullptr) {
       manage_(Op::kRelocate, other.storage_, storage_);
-      other.invoke_ = nullptr;
-      other.manage_ = nullptr;
+    } else if (invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, Capacity);
     }
+    other.invoke_ = nullptr;
+    other.manage_ = nullptr;
   }
 
   void destroy() noexcept {
-    if (manage_ != nullptr) {
-      manage_(Op::kDestroy, storage_, nullptr);
-      invoke_ = nullptr;
-      manage_ = nullptr;
-    }
+    if (manage_ != nullptr) manage_(Op::kDestroy, storage_, nullptr);
+    invoke_ = nullptr;
+    manage_ = nullptr;
   }
 
   alignas(std::max_align_t) unsigned char storage_[Capacity];

@@ -4,7 +4,7 @@
 //
 // Every binary in the repo reads its runtime knobs (COOPCR_REPLICAS,
 // COOPCR_THREADS, COOPCR_CSV_DIR, COOPCR_SHARDS, COOPCR_JOURNAL,
-// COOPCR_PLOT, COOPCR_LOG) through these helpers instead of hand-rolling
+// COOPCR_PLOT) through these helpers instead of hand-rolling
 // std::getenv + strtol. The contract is uniform: an unset or empty variable
 // falls back to the caller's default, and a malformed value *always* throws
 // coopcr::Error naming the knob — a typo'd COOPCR_REPLICAS=1o must abort the

@@ -236,15 +236,13 @@ TEST_F(DistRunnerTest, FreshRunRefusesAnExistingJournal) {
 
 TEST_F(DistRunnerTest, AntitheticCampaignCrossesTheWireByteIdentically) {
   // Antithetic pairs end to end: reflected-stream partner replicas and
-  // control-variate predictors computed in worker processes, with the
-  // shared-baseline cache off so the per-strategy recomputation path
-  // crosses the wire too. Reports must match the in-process runner
-  // byte for byte, including a journaled run resumed from disk.
+  // control-variate predictors computed in worker processes. Reports must
+  // match the in-process runner byte for byte, including a journaled run
+  // resumed from disk.
   exp::ExperimentSpec spec = grid_spec(/*replicas=*/4);
   MonteCarloOptions options = spec.campaign_options();
   options.antithetic = true;
   options.control_variate = true;
-  options.share_baseline = false;
   spec.options(options);
   const exp::ExperimentReport reference = reference_report(spec);
   EXPECT_TRUE(reference.points[0].report.vr_enabled);

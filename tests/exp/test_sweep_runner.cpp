@@ -218,29 +218,6 @@ TEST(SweepRunner, RunBatchNamesTheFailingCampaign) {
   }
 }
 
-TEST(SweepRunner, SharedBaselineIsByteIdenticalToPerStrategyRecomputation) {
-  // share_baseline only changes *when* the no-failure baseline is computed
-  // (once per replica task vs once per strategy); the same RNG stream feeds
-  // the same simulation either way, so the emitted reports must be
-  // byte-identical — across thread counts too.
-  exp::ExperimentSpec spec = grid_spec();
-  MonteCarloOptions options = spec.campaign_options();
-  options.share_baseline = true;
-  spec.options(options);
-  exp::SweepRunner serial(/*threads=*/1);
-  const std::string reference_csv = csv_bytes(serial.run(spec));
-  const std::string reference_json = json_bytes(serial.run(spec));
-
-  options.share_baseline = false;
-  spec.options(options);
-  for (const int threads : {1, 4}) {
-    exp::SweepRunner runner(threads);
-    const exp::ExperimentReport report = runner.run(spec);
-    EXPECT_EQ(reference_csv, csv_bytes(report)) << "threads=" << threads;
-    EXPECT_EQ(reference_json, json_bytes(report)) << "threads=" << threads;
-  }
-}
-
 TEST(SweepRunner, SequentialStoppingMatchesTheFixedCountCampaign) {
   // Pick the target from fixed-count reference runs so the test asserts the
   // exact doubling trajectory: the runner must stop at the first replica

@@ -1,4 +1,4 @@
-// Unit tests for units, CSV writer, table printer, logger and error macros.
+// Unit tests for units, CSV writer, table printer and error macros.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -111,26 +110,6 @@ TEST(Table, RejectsArityMismatch) {
 TEST(Table, FmtFixedPoint) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(2.0, 0), "2");
-}
-
-// --- logger ----------------------------------------------------------------------
-
-TEST(Log, ParseLevels) {
-  EXPECT_EQ(Log::parse("debug"), LogLevel::kDebug);
-  EXPECT_EQ(Log::parse("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(Log::parse("warn"), LogLevel::kWarn);
-  EXPECT_EQ(Log::parse("error"), LogLevel::kError);
-  EXPECT_EQ(Log::parse("nonsense"), LogLevel::kOff);
-}
-
-TEST(Log, ThresholdFiltering) {
-  Log::set_level(LogLevel::kWarn);
-  EXPECT_FALSE(Log::enabled(LogLevel::kDebug));
-  EXPECT_FALSE(Log::enabled(LogLevel::kInfo));
-  EXPECT_TRUE(Log::enabled(LogLevel::kWarn));
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  Log::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Log::enabled(LogLevel::kError));
 }
 
 }  // namespace
