@@ -17,17 +17,24 @@
 //    degenerates safely when the binning is too fine;
 //  * the campaign-level contrast on a full-APEX-mix row cancels the shared
 //    workload-schedule variance (vr_factor floor vs the unpaired
-//    comparison).
+//    comparison);
+//  * the replica-economy floors: at the Figure 1 160 GB/s row's production
+//    sizes, the estimators' vr_factor and replicas-to-target reductions
+//    stay at or above the figures EXPERIMENTS.md ("Replica economy")
+//    advertises.
 
 #include "core/variance_reduction.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/monte_carlo.hpp"
 #include "core/scenario.hpp"
+#include "exp/experiment.hpp"
+#include "exp/sweep_runner.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 #include "workload/apex.hpp"
@@ -372,6 +379,156 @@ TEST(VarianceReduction, AntitheticRejectsOddReplicasAndKeepsResults) {
         << "replica " << r;
     EXPECT_EQ(ar[r].counters.failures_on_jobs, pr[r].counters.failures_on_jobs)
         << "replica " << r;
+  }
+}
+
+// --- Replica-economy floors -------------------------------------------------
+//
+// Replicas needed to reach a fixed 95% CI width on the Figure 1 160 GB/s
+// row at the default scenario seed, grown in doubling rounds from 16. The
+// floors are ratios of statistics, not timings: deterministic on any host,
+// so they carry no slack. Two rows (EXPERIMENTS.md, "Replica economy"):
+//  * the EAP row: the dominant APEX class alone with duration jitter off,
+//    so every bit of waste variance is failure-driven;
+//  * the mix row: the paper's full APEX mix, where the workload-schedule
+//    interaction dominates and only the paired contrast cancels it.
+
+constexpr int kEconomyStart = 16;
+constexpr int kEconomyThreads = 4;
+constexpr double kEapTarget = 0.0007;
+constexpr double kContrastTarget = 0.004;
+
+ScenarioBuilder economy_eap_row() {
+  WorkloadOptions workload;
+  workload.jitter = DurationJitter::kNone;
+  ApplicationClass eap = apex_eap();
+  eap.workload_share = 1.0;
+  return ScenarioBuilder()
+      .platform(PlatformSpec::cielo())
+      .applications({eap})
+      .workload(workload)
+      .node_mtbf(units::years(2));
+}
+
+ScenarioBuilder economy_mix_row() {
+  return ScenarioBuilder::cielo_apex().node_mtbf(units::years(2));
+}
+
+/// One campaign on `row` at 160 GB/s; sequential stopping when `options`
+/// sets a target CI width.
+MonteCarloReport economy_run(const ScenarioBuilder& row,
+                             std::vector<Strategy> strategies,
+                             const MonteCarloOptions& options) {
+  exp::ExperimentSpec spec(row, "replica_economy");
+  spec.pfs_bandwidth_axis({160})
+      .strategies(std::move(strategies))
+      .options(options);
+  exp::SweepRunner runner(kEconomyThreads);
+  return runner.run(spec).points[0].report;
+}
+
+/// Least-Waste alone to a 0.0007-wide CI on the EAP row: the plain sample
+/// mean, or antithetic pairs plus the control variate.
+MonteCarloReport eap_mean_leg(bool reduced) {
+  MonteCarloOptions options;
+  options.replicas = kEconomyStart;
+  options.target_ci_width = kEapTarget;
+  options.max_replicas = 4096;
+  options.antithetic = reduced;
+  options.control_variate = reduced;
+  return economy_run(economy_eap_row(), {least_waste()}, options);
+}
+
+/// Least-Waste minus Oblivious-Daly to a 0.004-wide paired-contrast CI.
+MonteCarloReport contrast_leg(const ScenarioBuilder& row) {
+  MonteCarloOptions options;
+  options.replicas = kEconomyStart;
+  options.target_ci_width = kContrastTarget;
+  options.max_replicas = 8192;
+  options.contrast_reference = oblivious_daly().name();
+  return economy_run(row, {oblivious_daly(), least_waste()}, options);
+}
+
+const MonteCarloReport& eap_plain_leg() {
+  static const MonteCarloReport report = eap_mean_leg(false);
+  return report;
+}
+
+const MonteCarloReport& eap_reduced_leg() {
+  static const MonteCarloReport report = eap_mean_leg(true);
+  return report;
+}
+
+const MonteCarloReport& mix_contrast_leg() {
+  static const MonteCarloReport report = contrast_leg(economy_mix_row());
+  return report;
+}
+
+TEST(ReplicaEconomyFloor, EapRowVrFactorAtLeastTwo) {
+  const VrEstimate& est = eap_reduced_leg().outcomes[0].vr.estimate;
+  EXPECT_LE(est.ci_width, kEapTarget);
+  EXPECT_GE(est.vr_factor, 2.0);
+}
+
+TEST(ReplicaEconomyFloor, EapRowReductionAtLeastTwo) {
+  const MonteCarloReport& plain = eap_plain_leg();
+  const MonteCarloReport& reduced = eap_reduced_leg();
+  EXPECT_LE(plain.outcomes[0].vr.estimate.ci_width, kEapTarget);
+  EXPECT_GE(static_cast<double>(plain.replicas) /
+                static_cast<double>(reduced.replicas),
+            2.0)
+      << plain.replicas << " plain vs " << reduced.replicas << " reduced";
+}
+
+TEST(ContrastEconomyFloor, EapRowVrFactorAtLeastOneAndAHalf) {
+  const MonteCarloReport report = contrast_leg(economy_eap_row());
+  const VrEstimate& est = report.outcomes[1].contrast.estimate;
+  EXPECT_LE(est.ci_width, kContrastTarget);
+  EXPECT_GE(est.vr_factor, 1.5);
+}
+
+TEST(ContrastEconomyFloor, MixRowVrFactorAtLeastTwo) {
+  const VrEstimate& est = mix_contrast_leg().outcomes[1].contrast.estimate;
+  EXPECT_LE(est.ci_width, kContrastTarget);
+  EXPECT_GE(est.vr_factor, 2.0);
+}
+
+TEST(ContrastEconomyFloor, MixRowReductionAtLeastThree) {
+  // The unpaired comparison estimates each strategy independently and takes
+  // the classical two-sample width 2·z·sqrt(se_A² + se_B²) on the same
+  // doubling schedule. It needs at least three times the paired contrast's
+  // C replicas exactly when its CI is still above target at every doubling
+  // n < 3·C. Replica r is a pure function of (seed, r), so one fixed run at
+  // the largest such n holds every earlier round as a prefix.
+  constexpr double kZ95 = 1.959963984540054;
+  const MonteCarloReport& paired = mix_contrast_leg();
+  const int converged = paired.replicas;
+  ASSERT_LE(paired.outcomes[1].contrast.estimate.ci_width, kContrastTarget);
+  int largest = kEconomyStart;
+  while (2 * largest < 3 * converged) largest *= 2;
+
+  MonteCarloOptions options;
+  options.replicas = largest;
+  const MonteCarloReport unpaired = economy_run(
+      economy_mix_row(), {oblivious_daly(), least_waste()}, options);
+  ASSERT_EQ(unpaired.replicas, largest);
+  for (std::size_t s = 0; s < unpaired.outcomes.size(); ++s) {
+    const std::vector<double>& head = paired.outcomes[s].waste_ratio.samples();
+    const std::vector<double>& all = unpaired.outcomes[s].waste_ratio.samples();
+    ASSERT_TRUE(std::equal(head.begin(), head.end(), all.begin()))
+        << "strategy " << s << ": the paired run is not a prefix";
+  }
+
+  for (int n = kEconomyStart; n < 3 * converged; n *= 2) {
+    double variance = 0.0;
+    for (const StrategyOutcome& outcome : unpaired.outcomes) {
+      const std::vector<double>& all = outcome.waste_ratio.samples();
+      const SampleSet prefix(std::vector<double>(all.begin(), all.begin() + n));
+      variance += prefix.stddev() * prefix.stddev() / n;
+    }
+    EXPECT_GT(2.0 * kZ95 * std::sqrt(variance), kContrastTarget)
+        << "unpaired CI reaches the target at n = " << n << ", under 3 x "
+        << converged << " paired replicas";
   }
 }
 
