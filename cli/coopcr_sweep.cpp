@@ -42,7 +42,11 @@
 #include <vector>
 
 #include "coopcr.hpp"
-#include "dist/wire.hpp"  // kWorkerInFd/kWorkerOutFd — below the facade
+// Below the facade: the fault-plan grammar and the worker serve loop with
+// its fixed fds.
+#include "dist/fault_injection.hpp"
+#include "dist/wire.hpp"
+#include "dist/worker.hpp"
 
 using namespace coopcr;
 
@@ -85,8 +89,6 @@ void usage(std::ostream& os) {
         "  --fault-plan SPEC  scripted fault injection, e.g. "
         "kill=0@3,interrupt=6 (COOPCR_FAULT_PLAN; see "
         "dist/fault_injection.hpp)\n"
-        "  --max-units N      abort after N fresh units (kill-resume "
-        "testing)\n"
         "  --kill-worker-after N  worker 0 SIGKILLs itself after N units\n"
         "  --list-specs       list registry specs and exit\n"
         "  --worker           internal: serve units on fds 3/4\n"
@@ -165,7 +167,6 @@ int main(int argc, char** argv) {
     bool resume = false;
     bool exec_workers = false;
     bool worker_mode = false;
-    int max_units = 0;
     int kill_after = 0;
     bool antithetic = env::flag_knob("COOPCR_ANTITHETIC");
     bool control_variate = env::flag_knob("COOPCR_CONTROL_VARIATE");
@@ -231,9 +232,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--strata-feature") {
         COOPCR_CHECK(next, "--strata-feature needs a value");
         strata_feature = next;
-        ++i;
-      } else if (arg == "--max-units") {
-        max_units = int_arg(arg, next);
         ++i;
       } else if (arg == "--kill-worker-after") {
         kill_after = int_arg(arg, next);
@@ -322,10 +320,9 @@ int main(int argc, char** argv) {
 
     exp::ExecutorOptions options;
     if (shards == 0) {
-      COOPCR_CHECK(!resume && journal.empty() && max_units == 0 &&
-                       kill_after == 0,
-                   "--journal/--resume/--max-units/--kill-worker-after "
-                   "require --shards >= 1");
+      COOPCR_CHECK(!resume && journal.empty() && kill_after == 0,
+                   "--journal/--resume/--kill-worker-after require "
+                   "--shards >= 1");
       COOPCR_CHECK(max_respawns == 0 && heartbeat_ms == 0 &&
                        transport.empty() && resize_at.empty() &&
                        fault_plan_text.empty(),
@@ -340,7 +337,6 @@ int main(int argc, char** argv) {
       options.shards = shards;
       options.journal = journal;
       options.resume = resume;
-      options.max_units = max_units;
       options.kill_worker_after = kill_after;
       options.max_respawns = max_respawns;
       options.heartbeat_ms = heartbeat_ms;

@@ -48,15 +48,11 @@
 #include "exp/spec_registry.hpp"
 #include "exp/sweep_runner.hpp"
 
-// Distributed execution: multi-process shard workers, the durable campaign
-// journal, the kill-resume coordinator (byte-identical reports for any
-// shard count, transport, or crash/respawn/resize history) and the
-// scripted fault-injection harness that proves it.
+// Distributed execution: the kill-resume coordinator over multi-process
+// shard workers (byte-identical reports for any shard count, transport, or
+// crash/respawn/resize history). Its transport, journal, worker loop and
+// fault-injection harness sit below the facade under dist/.
 #include "dist/dist_runner.hpp"
-#include "dist/fault_injection.hpp"
-#include "dist/journal.hpp"
-#include "dist/transport.hpp"
-#include "dist/worker.hpp"
 
 // Serving: the checkpoint advisor — artifact grid store, interpolating
 // query engine with Monte Carlo fallback, and the digest-keyed query cache.
@@ -66,15 +62,13 @@
 #include "serve/query_cache.hpp"
 #include "serve/query_engine.hpp"
 
-// I/O subsystem: channel, requests, token policies.
-#include "io/channel.hpp"
+// I/O subsystem: requests and token policies.
 #include "io/io_subsystem.hpp"
 #include "io/request.hpp"
 #include "io/token_policy.hpp"
 
 // Platform and workload models.
 #include "platform/failure_model.hpp"
-#include "platform/node_pool.hpp"
 #include "platform/platform.hpp"
 #include "workload/apex.hpp"
 #include "workload/app_class.hpp"

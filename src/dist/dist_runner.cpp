@@ -511,9 +511,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     }
     --outstanding;
     ++fresh_results;
-    COOPCR_CHECK(options_.max_units <= 0 || fresh_results < options_.max_units,
-                 "sweep interrupted after " + std::to_string(fresh_results) +
-                     " units (max_units) — resume from the journal");
     fire_unit_faults();
     if (!w.alive) return;  // a fired fault retired or killed this worker
     if (w.draining) {

@@ -78,11 +78,6 @@ struct DistOptions {
   /// units without reporting the last one (worker_serve's kill_after).
   int kill_worker_after = 0;
 
-  /// Test/CI hook: abort the sweep (coopcr::Error) after this many *fresh*
-  /// results have been journaled — a deterministic stand-in for killing
-  /// the coordinator mid-run.
-  int max_units = 0;
-
   /// Respawn budget: how many replacement workers may be spawned over the
   /// whole run to keep the fleet at target strength after deaths
   /// (including heartbeat kills and fault-plan casualties). 0 keeps the

@@ -8,8 +8,10 @@
 // frame, stall a worker past the heartbeat deadline, tear or bit-flip the
 // campaign journal, abort the coordinator mid-run, or resize the fleet.
 // DistOptions::fault_plan carries the plan into DistSweepRunner; the hook
-// seam is compiled in always and inert when the plan is empty (pinned by
-// bench/macro_campaign's fault_seam leg).
+// seam is compiled in always and inert when the plan is empty. A null plan
+// binds to a local empty FaultPlan in DistSweepRunner::run, so a fault-free
+// sweep runs the very same hook code as an empty plan: there is no
+// seam-less path whose cost could differ.
 //
 // Triggers are deterministic by construction: "after n units" counts fresh
 // journaled results in the coordinator (a total order), and "frame f"

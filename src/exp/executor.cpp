@@ -36,7 +36,6 @@ std::unique_ptr<SweepExecutor> make_sweep_executor(
       dist_options.resume = options.resume;
       dist_options.worker_command = options.worker_command;
       dist_options.kill_worker_after = options.kill_worker_after;
-      dist_options.max_units = options.max_units;
       dist_options.max_respawns = options.max_respawns;
       dist_options.heartbeat_ms = options.heartbeat_ms;
       if (!options.transport.empty()) {

@@ -98,9 +98,8 @@ struct ExecutorOptions {
   bool resume = false;
   /// Dist: fork+exec worker launch command; empty forks the coordinator.
   std::vector<std::string> worker_command;
-  /// Dist test/CI fault hooks (dist::DistOptions).
+  /// Dist test/CI fault hook (dist::DistOptions).
   int kill_worker_after = 0;
-  int max_units = 0;
 
   /// Dist: respawn budget for replacing dead workers mid-campaign.
   int max_respawns = 0;

@@ -127,8 +127,8 @@ class EventQueue {
   /// this is what makes per-replica engine reuse safe.
   void clear();
 
-  /// Slab/calendar introspection (tests, BENCH_engine.json): slots ever
-  /// created and stale keys awaiting cleanup.
+  /// Slab/calendar introspection (tests): slots ever created and stale
+  /// keys awaiting cleanup.
   std::size_t slab_slots() const { return slot_count_; }
   std::size_t stale_items() const { return stale_count_; }
 

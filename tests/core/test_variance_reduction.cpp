@@ -51,11 +51,11 @@ ScenarioConfig tiny_scenario() {
       .build();
 }
 
-/// Failure-noise-isolated row: one application class and no duration jitter
-/// make the workload deterministic, so every bit of waste-ratio variance is
-/// failure-driven — the regime the control variate is built for
-/// (EXPERIMENTS.md, "Replica economy").
-ScenarioConfig failure_isolated_scenario() {
+/// Failure-noise-isolated platform: one application class (EAP) and no
+/// duration jitter make the workload deterministic, so every bit of
+/// waste-ratio variance is failure-driven — the regime the control variate
+/// is built for (EXPERIMENTS.md, "Replica economy").
+ScenarioBuilder eap_only() {
   WorkloadOptions workload;
   workload.jitter = DurationJitter::kNone;
   ApplicationClass eap = apex_eap();
@@ -63,7 +63,11 @@ ScenarioConfig failure_isolated_scenario() {
   return ScenarioBuilder()
       .platform(PlatformSpec::cielo())
       .applications({eap})
-      .workload(workload)
+      .workload(workload);
+}
+
+ScenarioConfig failure_isolated_scenario() {
+  return eap_only()
       .min_makespan(units::days(6))
       .segment(units::days(1), units::days(5))
       .pfs_bandwidth(units::gb_per_s(160))
@@ -232,8 +236,8 @@ TEST(VarianceReduction, CampaignContrastCancelsSharedMixVarianceOnMixRow) {
   // Full APEX mix: the workload-schedule interaction dominates the
   // waste-ratio variance and is common to every strategy of a replica, so
   // the paired contrast beats the unpaired two-sample comparison by a wide
-  // margin (the bench's contrast_economy legs track the same floor at
-  // production sizes). The reference strategy's own contrast stays off, and
+  // margin (ContrastEconomyFloor below holds the same floor at production
+  // sizes). The reference strategy's own contrast stays off, and
   // the contrast mean must equal the difference of the per-strategy means
   // exactly — common random numbers change the variance, never the point
   // estimate.
@@ -388,8 +392,8 @@ TEST(VarianceReduction, AntitheticRejectsOddReplicasAndKeepsResults) {
 // row at the default scenario seed, grown in doubling rounds from 16. The
 // floors are ratios of statistics, not timings: deterministic on any host,
 // so they carry no slack. Two rows (EXPERIMENTS.md, "Replica economy"):
-//  * the EAP row: the dominant APEX class alone with duration jitter off,
-//    so every bit of waste variance is failure-driven;
+//  * the EAP row (eap_only above), where every bit of waste variance is
+//    failure-driven;
 //  * the mix row: the paper's full APEX mix, where the workload-schedule
 //    interaction dominates and only the paired contrast cancels it.
 
@@ -399,15 +403,7 @@ constexpr double kEapTarget = 0.0007;
 constexpr double kContrastTarget = 0.004;
 
 ScenarioBuilder economy_eap_row() {
-  WorkloadOptions workload;
-  workload.jitter = DurationJitter::kNone;
-  ApplicationClass eap = apex_eap();
-  eap.workload_share = 1.0;
-  return ScenarioBuilder()
-      .platform(PlatformSpec::cielo())
-      .applications({eap})
-      .workload(workload)
-      .node_mtbf(units::years(2));
+  return eap_only().node_mtbf(units::years(2));
 }
 
 ScenarioBuilder economy_mix_row() {
@@ -449,11 +445,6 @@ MonteCarloReport contrast_leg(const ScenarioBuilder& row) {
   return economy_run(row, {oblivious_daly(), least_waste()}, options);
 }
 
-const MonteCarloReport& eap_plain_leg() {
-  static const MonteCarloReport report = eap_mean_leg(false);
-  return report;
-}
-
 const MonteCarloReport& eap_reduced_leg() {
   static const MonteCarloReport report = eap_mean_leg(true);
   return report;
@@ -471,7 +462,7 @@ TEST(ReplicaEconomyFloor, EapRowVrFactorAtLeastTwo) {
 }
 
 TEST(ReplicaEconomyFloor, EapRowReductionAtLeastTwo) {
-  const MonteCarloReport& plain = eap_plain_leg();
+  const MonteCarloReport plain = eap_mean_leg(/*reduced=*/false);
   const MonteCarloReport& reduced = eap_reduced_leg();
   EXPECT_LE(plain.outcomes[0].vr.estimate.ci_width, kEapTarget);
   EXPECT_GE(static_cast<double>(plain.replicas) /

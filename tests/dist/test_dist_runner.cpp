@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "coopcr.hpp"
+#include "dist/fault_injection.hpp"
+#include "dist/journal.hpp"
 
 namespace coopcr {
 namespace {
@@ -25,6 +27,14 @@ ScenarioBuilder tiny_base() {
   return ScenarioBuilder::cielo_apex(/*seed=*/99)
       .min_makespan(units::days(6))
       .segment(units::days(1), units::days(5));
+}
+
+/// A fault plan that aborts the coordinator once `units` fresh results
+/// have been journaled — a deterministic stand-in for killing it mid-run.
+std::shared_ptr<dist::FaultPlan> interrupt_after(int units) {
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->interrupt(units);
+  return plan;
 }
 
 exp::ExperimentSpec grid_spec(int replicas = 3) {
@@ -125,7 +135,7 @@ TEST_F(DistRunnerTest, InterruptedJournaledSweepResumesByteIdentically) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.max_units = 7;
+    options.fault_plan = interrupt_after(7);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }
@@ -154,7 +164,7 @@ TEST_F(DistRunnerTest, ResumeAfterWorkerKillStillMatches) {
     options.shards = 2;
     options.journal = journal_;
     options.kill_worker_after = 1;
-    options.max_units = 9;
+    options.fault_plan = interrupt_after(9);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }
@@ -194,7 +204,7 @@ TEST_F(DistRunnerTest, RefusesJournalFromADifferentGrid) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.max_units = 3;
+    options.fault_plan = interrupt_after(3);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(grid_spec()), Error);
   }
@@ -336,7 +346,7 @@ TEST_F(DistRunnerTest, AdaptiveJournaledSweepResumesMidRoundByteIdentically) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.max_units = 10;
+    options.fault_plan = interrupt_after(10);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }

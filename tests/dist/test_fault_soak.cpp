@@ -30,6 +30,8 @@
 #include <vector>
 
 #include "coopcr.hpp"
+#include "dist/fault_injection.hpp"
+#include "dist/transport.hpp"
 
 namespace coopcr {
 namespace {
