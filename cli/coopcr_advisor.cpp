@@ -9,9 +9,8 @@
 // cache and return byte-identical answer text.
 //
 //   coopcr_sweep --spec demo --replicas 8 --out artifacts/
-//   printf '%s\n' \
-//     '{"coords":{"pfs_bandwidth_gbps":80,"interference_alpha":0.5}}' \
-//     | coopcr_advisor --ingest artifacts/
+//   echo '{"coords":{"pfs_bandwidth_gbps":80,"interference_alpha":0.5}}' |
+//     coopcr_advisor --ingest artifacts/
 //
 // Determinism contract: answer lines on stdout are a pure function of the
 // ingested artifacts, the engine options and the query — all volatile

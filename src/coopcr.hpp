@@ -49,9 +49,9 @@
 #include "exp/sweep_runner.hpp"
 
 // Distributed execution: the kill-resume coordinator over multi-process
-// shard workers (byte-identical reports for any shard count, transport, or
-// crash/respawn/resize history). Its transport, journal, worker loop and
-// fault-injection harness sit below the facade under dist/.
+// shard workers (byte-identical reports for any shard count or
+// crash/respawn/resize history). Its worker launch, journal, worker loop
+// and fault-injection harness sit below the facade under dist/.
 #include "dist/dist_runner.hpp"
 
 // Serving: the checkpoint advisor — artifact grid store, interpolating

@@ -75,7 +75,9 @@ MonteCarloCampaign::MonteCarloCampaign(ScenarioConfig scenario,
   COOPCR_CHECK(options_.strata_feature == "work_total" ||
                    options_.strata_feature == "work_jobs" ||
                    options_.strata_feature == "work_max_share",
-               "unknown stratification feature \"" + options_.strata_feature +
+               "--strata-feature/COOPCR_STRATA_FEATURE: unknown "
+               "stratification feature \"" +
+                   options_.strata_feature +
                    "\" — expected work_total, work_jobs or work_max_share");
   outputs_.resize(static_cast<std::size_t>(tasks()));
   if (options_.control_variate) {

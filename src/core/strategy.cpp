@@ -40,7 +40,9 @@ StrategySpec::StrategySpec(
 std::string StrategySpec::name() const {
   if (!display_name_.empty()) return display_name_;
   std::string composed = coordination_->name() + "-" + period_->name();
-  if (commit_->name() != "direct") composed += "-" + commit_->name();
+  if (commit_->name() != "direct") {
+    composed.append("-").append(commit_->name());
+  }
   return composed;
 }
 
@@ -58,7 +60,7 @@ StrategySpec StrategySpec::with_commit(
     // Swap the suffix the current commit contributed for the new one, so
     // the name always tells the truth about the commit path — including
     // when a tiered spec is switched back to direct commits.
-    const std::string old_suffix = "-" + commit_->name();
+    const std::string old_suffix = std::string("-").append(commit_->name());
     if (commit_->name() != "direct" &&
         copy.display_name_.size() > old_suffix.size() &&
         copy.display_name_.compare(
@@ -67,7 +69,7 @@ StrategySpec StrategySpec::with_commit(
       copy.display_name_.erase(copy.display_name_.size() - old_suffix.size());
     }
     if (commit->name() != "direct") {
-      copy.display_name_ += "-" + commit->name();
+      copy.display_name_.append("-").append(commit->name());
     }
   }
   copy.commit_ = std::move(commit);

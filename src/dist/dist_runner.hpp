@@ -7,11 +7,12 @@
 // instead of scheduling (grid point × replica) tasks on a thread pool it
 // shards them across a fleet of worker *processes* (fork of the current
 // process by default, or fork+exec of a driver command) that pull units
-// over the dist/wire.hpp protocol — pipes or a socketpair, see
-// dist/transport.hpp. Dynamic pull is built-in work stealing: a fast
-// worker simply asks for more. Completed units are appended to a
-// crash-safe campaign journal (dist/journal.hpp), so a SIGKILLed sweep
-// resumes by replaying the journal and dispatching only the missing units.
+// over the dist/wire.hpp protocol on a pair of pipes each (launched by
+// dist/transport.hpp's spawn_worker). Dynamic pull is built-in work
+// stealing: a fast worker simply asks for more. Completed units are
+// appended to a crash-safe campaign journal (dist/journal.hpp), so a
+// SIGKILLed sweep resumes by replaying the journal and dispatching only
+// the missing units.
 //
 // Determinism contract, extending the thread-invariance guarantee to
 // processes and crashes: every unit writes a preassigned
@@ -28,10 +29,10 @@
 // with a respawn budget (max_respawns) the coordinator also replaces the
 // casualty to keep the fleet at strength. A worker silent past
 // heartbeat_ms with a unit in flight is presumed hung and killed (then
-// respawned within budget). The fleet grows or shrinks mid-campaign via
-// resize_schedule, a scripted FaultPlan resize, or SIGUSR1/SIGUSR2. The
-// sweep only fails once no workers remain and the respawn budget is
-// spent — and then the journal already holds every completed unit.
+// respawned within budget). The fleet grows or shrinks mid-campaign via a
+// scripted FaultPlan resize or SIGUSR1/SIGUSR2. The sweep only fails once
+// no workers remain and the respawn budget is spent — and then the journal
+// already holds every completed unit.
 
 #pragma once
 
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "dist/fault_injection.hpp"
-#include "dist/transport.hpp"
 #include "exp/executor.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
@@ -70,13 +70,9 @@ struct DistOptions {
   /// serialising. When set, the command must start a process that rebuilds
   /// the same spec and calls worker_serve on kWorkerInFd/kWorkerOutFd
   /// (coopcr_sweep --worker does); the coordinator verifies the worker's
-  /// digest before dispatching. Fault directives ride along as
-  /// "--kill-after <n>" / "--stall <n>:<ms>" flags.
+  /// digest before dispatching. Stall directives ride along as
+  /// "--stall <n>:<ms>" flags.
   std::vector<std::string> worker_command;
-
-  /// Test/CI hook: worker 0 SIGKILLs itself after completing this many
-  /// units without reporting the last one (worker_serve's kill_after).
-  int kill_worker_after = 0;
 
   /// Respawn budget: how many replacement workers may be spawned over the
   /// whole run to keep the fleet at target strength after deaths
@@ -89,21 +85,14 @@ struct DistOptions {
   /// (respawning within budget). 0 disables the deadline.
   int heartbeat_ms = 0;
 
-  /// How worker channels are built — see dist/transport.hpp. The wire
-  /// bytes and the results are identical across transports.
-  TransportKind transport = TransportKind::kPipe;
-
-  /// Scripted elastic resharding: once entry.after_units fresh results
-  /// have landed, grow or shrink the fleet to entry.shards. Shrinking
-  /// drains busy workers (their in-flight unit completes first); growing
-  /// spawns immediately. SIGUSR1/SIGUSR2 adjust the fleet by ±1 at run
-  /// time on top of this schedule.
-  std::vector<ResizePoint> resize_schedule;
-
-  /// Scripted fault injection (see dist/fault_injection.hpp). The hook
-  /// seam is always compiled in and inert when the plan is null or empty.
-  /// Held by shared_ptr so fired single-shot actions stay fired across a
-  /// resume retry loop — the soak's core trick.
+  /// Scripted fault injection (see dist/fault_injection.hpp): worker kills,
+  /// stalls, frame faults, journal damage, interrupts and elastic resizes.
+  /// A resize grows the fleet by spawning at once and shrinks it by
+  /// draining busy workers (their in-flight unit completes first);
+  /// SIGUSR1/SIGUSR2 adjust the fleet by ±1 at run time on top of it. The
+  /// hook seam is always compiled in and inert when the plan is null or
+  /// empty. Held by shared_ptr so fired single-shot actions stay fired
+  /// across a resume retry loop — the soak's core trick.
   std::shared_ptr<FaultPlan> fault_plan;
 };
 

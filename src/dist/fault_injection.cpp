@@ -316,19 +316,4 @@ void flip_journal_byte_at(const std::string& path, std::uint64_t offset) {
   COOPCR_CHECK(put == 1, "journal byte flip write failed: " + path);
 }
 
-ResizePoint parse_resize_point(const std::string& text,
-                               const std::string& knob) {
-  const std::size_t at = text.find(':');
-  COOPCR_CHECK(at != std::string::npos,
-               knob + ": resize entry must be UNITS:SHARDS, got '" + text +
-                   "'");
-  ResizePoint point;
-  point.after_units =
-      parse_int(text.substr(0, at), knob, "resize unit trigger");
-  point.shards = parse_int(text.substr(at + 1), knob, "resize shard count");
-  COOPCR_CHECK(point.shards >= 1,
-               knob + ": resize shard count must be >= 1, got '" + text + "'");
-  return point;
-}
-
 }  // namespace coopcr::dist

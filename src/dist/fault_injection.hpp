@@ -7,7 +7,9 @@
 // fresh results have landed, drop/truncate/delay a specific inbound wire
 // frame, stall a worker past the heartbeat deadline, tear or bit-flip the
 // campaign journal, abort the coordinator mid-run, or resize the fleet.
-// DistOptions::fault_plan carries the plan into DistSweepRunner; the hook
+// It is the one way to script a kill or a resize: DistOptions::fault_plan
+// carries the plan into DistSweepRunner (--fault-plan / COOPCR_FAULT_PLAN
+// at the CLI), and SIGUSR1/SIGUSR2 are the only unscripted resizes. The hook
 // seam is compiled in always and inert when the plan is empty. A null plan
 // binds to a local empty FaultPlan in DistSweepRunner::run, so a fault-free
 // sweep runs the very same hook code as an empty plan: there is no
@@ -125,16 +127,5 @@ void append_torn_journal_tail(int fd, int garbage_bytes);
 /// guaranteed corruption regardless of the original value. Throws
 /// coopcr::Error when the file cannot be opened or `offset` is past EOF.
 void flip_journal_byte_at(const std::string& path, std::uint64_t offset);
-
-/// One scheduled fleet-resize point for DistOptions::resize_schedule.
-struct ResizePoint {
-  int after_units = 0;  ///< fresh-result trigger
-  int shards = 0;       ///< new fleet size (>= 1)
-};
-
-/// Parse one "N:S" resize entry (after N fresh results, resize to S
-/// shards); throws coopcr::Error naming `knob` on malformed input.
-ResizePoint parse_resize_point(const std::string& text,
-                               const std::string& knob);
 
 }  // namespace coopcr::dist

@@ -1,6 +1,5 @@
 #include "dist/transport.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,7 +12,7 @@ namespace coopcr::dist {
 
 namespace {
 
-/// One worker communication channel, before the fork splits it.
+/// One worker communication channel (two pipes), before the fork splits it.
 struct Channel {
   int parent_to = -1;    ///< coordinator keeps: write units here
   int parent_from = -1;  ///< coordinator keeps: read results here
@@ -21,39 +20,27 @@ struct Channel {
   int child_out = -1;    ///< child keeps: worker_serve's out_fd
 };
 
-Channel open_channel(TransportKind transport) {
+Channel open_channel() {
+  int to_child[2];
+  int from_child[2];
+  COOPCR_CHECK(::pipe(to_child) == 0 && ::pipe(from_child) == 0,
+               std::string("pipe failed: ") + std::strerror(errno));
   Channel ch;
-  if (transport == TransportKind::kPipe) {
-    int to_child[2];
-    int from_child[2];
-    COOPCR_CHECK(::pipe(to_child) == 0 && ::pipe(from_child) == 0,
-                 std::string("pipe failed: ") + std::strerror(errno));
-    ch.parent_to = to_child[1];
-    ch.child_in = to_child[0];
-    ch.child_out = from_child[1];
-    ch.parent_from = from_child[0];
-  } else {
-    int sv[2];
-    COOPCR_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-                 std::string("socketpair failed: ") + std::strerror(errno));
-    // Bidirectional: each side reads and writes one descriptor, so the
-    // parent's to/from (and the child's in/out) alias the same fd.
-    ch.parent_to = sv[0];
-    ch.parent_from = sv[0];
-    ch.child_in = sv[1];
-    ch.child_out = sv[1];
-  }
+  ch.parent_to = to_child[1];
+  ch.child_in = to_child[0];
+  ch.child_out = from_child[1];
+  ch.parent_from = from_child[0];
   return ch;
 }
 
 void close_child_side(const Channel& ch) {
   ::close(ch.child_in);
-  if (ch.child_out != ch.child_in) ::close(ch.child_out);
+  ::close(ch.child_out);
 }
 
 void close_parent_side(const Channel& ch) {
   ::close(ch.parent_to);
-  if (ch.parent_from != ch.parent_to) ::close(ch.parent_from);
+  ::close(ch.parent_from);
 }
 
 [[noreturn]] void child_serve_fork(const WorkerLaunch& launch,
@@ -81,13 +68,9 @@ void close_parent_side(const Channel& ch) {
   close_parent_side(ch);
   // Move the child's ends off the target descriptors before landing them
   // there, in case a channel fd already equals kWorkerInFd/kWorkerOutFd.
-  // Under kSocketPair in and out alias one fd, which dup2 lands on both
-  // targets.
   int in = ch.child_in;
   int out = ch.child_out;
-  const bool shared = in == out;
   while (in == kWorkerInFd || in == kWorkerOutFd) in = ::dup(in);
-  if (shared) out = in;
   while (out == kWorkerInFd || out == kWorkerOutFd) out = ::dup(out);
   if (::dup2(in, kWorkerInFd) < 0 || ::dup2(out, kWorkerOutFd) < 0) {
     ::_exit(127);
@@ -108,22 +91,10 @@ void close_parent_side(const Channel& ch) {
 
 }  // namespace
 
-TransportKind transport_from_name(const std::string& name,
-                                  const std::string& knob) {
-  if (name == "pipe") return TransportKind::kPipe;
-  if (name == "socketpair") return TransportKind::kSocketPair;
-  COOPCR_CHECK(false, knob + ": unknown transport '" + name +
-                          "' — expected pipe or socketpair");
-}
-
-std::string transport_name(TransportKind kind) {
-  return kind == TransportKind::kPipe ? "pipe" : "socketpair";
-}
-
 WorkerEndpoint spawn_worker(const WorkerLaunch& launch) {
   COOPCR_CHECK(!launch.command.empty() || launch.spec != nullptr,
                "worker launch needs a spec (fork) or a command (exec)");
-  const Channel ch = open_channel(launch.transport);
+  const Channel ch = open_channel();
   const pid_t pid = ::fork();
   COOPCR_CHECK(pid >= 0, std::string("fork failed: ") + std::strerror(errno));
   if (pid == 0) {

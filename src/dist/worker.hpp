@@ -22,13 +22,10 @@
 namespace coopcr::dist {
 
 /// Deterministic fault hooks a worker applies to itself, carried either
-/// in-memory (fork mode) or via --kill-after / --stall flags (exec mode).
+/// in-memory (fork mode) or via --stall flags (exec mode). They come from a
+/// FaultPlan's stall actions (dist/fault_injection.hpp); kills are the
+/// coordinator's job and never need the worker's cooperation.
 struct WorkerDirectives {
-  /// > 0: raise(SIGKILL) after completing this many units *without sending
-  /// the last result* — the "worker killed mid-unit" hook used by the
-  /// kill-resume tests and the CI smoke job.
-  int kill_after = 0;
-
   /// Sleep `ms` milliseconds *before* sending result number
   /// `before_result` (1-based) — long enough sleeps trip the coordinator's
   /// heartbeat deadline (DistOptions::heartbeat_ms).
@@ -44,10 +41,5 @@ struct WorkerDirectives {
 /// shutdown; throws coopcr::Error on protocol violations.
 void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
                   const WorkerDirectives& directives);
-
-/// Directive-free convenience overload (kill_after keeps its historical
-/// meaning — see WorkerDirectives::kill_after).
-void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
-                  int kill_after = 0);
 
 }  // namespace coopcr::dist

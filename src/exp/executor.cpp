@@ -35,17 +35,8 @@ std::unique_ptr<SweepExecutor> make_sweep_executor(
       dist_options.journal = options.journal;
       dist_options.resume = options.resume;
       dist_options.worker_command = options.worker_command;
-      dist_options.kill_worker_after = options.kill_worker_after;
       dist_options.max_respawns = options.max_respawns;
       dist_options.heartbeat_ms = options.heartbeat_ms;
-      if (!options.transport.empty()) {
-        dist_options.transport = dist::transport_from_name(
-            options.transport, "--transport/COOPCR_TRANSPORT");
-      }
-      for (const std::string& entry : options.resize_at) {
-        dist_options.resize_schedule.push_back(dist::parse_resize_point(
-            entry, "--resize-at/COOPCR_RESIZE_AT"));
-      }
       dist_options.fault_plan = options.fault_plan;
       return std::make_unique<dist::DistSweepRunner>(std::move(dist_options));
     }

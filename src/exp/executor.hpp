@@ -98,20 +98,13 @@ struct ExecutorOptions {
   bool resume = false;
   /// Dist: fork+exec worker launch command; empty forks the coordinator.
   std::vector<std::string> worker_command;
-  /// Dist test/CI fault hook (dist::DistOptions).
-  int kill_worker_after = 0;
 
   /// Dist: respawn budget for replacing dead workers mid-campaign.
   int max_respawns = 0;
   /// Dist: silent-worker deadline in milliseconds; 0 disables.
   int heartbeat_ms = 0;
-  /// Dist: worker channel transport, "pipe" (default) or "socketpair";
-  /// parsed by make_sweep_executor, which names the knob on bad values.
-  std::string transport;
-  /// Dist: elastic resharding schedule, "UNITS:SHARDS" entries (resize the
-  /// fleet to SHARDS once UNITS fresh results landed).
-  std::vector<std::string> resize_at;
-  /// Dist: scripted fault plan (dist::FaultPlan). Held as shared_ptr so
+  /// Dist: scripted fault plan (dist::FaultPlan) — kills, stalls and
+  /// elastic resizes among its actions. Held as shared_ptr so
   /// single-shot fault actions stay fired across a resume retry loop; the
   /// CLI builds it from --fault-plan / COOPCR_FAULT_PLAN.
   std::shared_ptr<dist::FaultPlan> fault_plan;

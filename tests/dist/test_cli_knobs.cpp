@@ -72,6 +72,38 @@ class CliKnobsTest : public ::testing::Test {
         << ", got:\n"
         << result.output;
   }
+
+  /// Run the demo spec in process and with the dist `engine_args`, and
+  /// assert both emit byte-identical CSV and JSON artifacts.
+  void expect_artifacts_match_in_process(const std::string& engine_args) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("coopcr_cli_knobs_" + std::to_string(::getpid()) +
+                          "_" +
+                          ::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name());
+    fs::remove_all(dir);
+    const std::string ref = (dir / "ref").string();
+    const std::string dist = (dir / "dist").string();
+    const CliResult reference =
+        run_cli("--spec demo --replicas 2 --shards 0 --out " + ref);
+    ASSERT_EQ(reference.exit_code, 0) << reference.output;
+    const CliResult faulted =
+        run_cli("--spec demo --replicas 2 " + engine_args + " --out " + dist);
+    ASSERT_EQ(faulted.exit_code, 0) << faulted.output;
+    for (const char* name : {"sweep_demo.csv", "sweep_demo.json"}) {
+      std::ifstream a(fs::path(ref) / name, std::ios::binary);
+      std::ifstream b(fs::path(dist) / name, std::ios::binary);
+      ASSERT_TRUE(a.good() && b.good()) << name;
+      const std::string bytes_a((std::istreambuf_iterator<char>(a)),
+                                std::istreambuf_iterator<char>());
+      const std::string bytes_b((std::istreambuf_iterator<char>(b)),
+                                std::istreambuf_iterator<char>());
+      EXPECT_EQ(bytes_a, bytes_b) << name;
+    }
+    fs::remove_all(dir);
+  }
 };
 
 TEST_F(CliKnobsTest, ResumeWithoutJournalNamesTheJournalKnob) {
@@ -83,10 +115,6 @@ TEST_F(CliKnobsTest, DistOnlyKnobsAreRefusedAtShardsZero) {
                  "--shards");
   expect_refusal("--spec demo --replicas 2 --shards 0 --respawn 2",
                  "--shards");
-  expect_refusal("--spec demo --replicas 2 --shards 0 --resize-at 3:1",
-                 "--shards");
-  expect_refusal("--spec demo --replicas 2 --shards 0 --transport socketpair",
-                 "--shards");
   expect_refusal("--spec demo --replicas 2 --shards 0 --heartbeat-ms 100",
                  "--shards");
 }
@@ -96,42 +124,31 @@ TEST_F(CliKnobsTest, BadKnobValuesNameTheirOwnKnob) {
                  "--fault-plan");
   expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan kill=0",
                  "--fault-plan");
-  expect_refusal("--spec demo --replicas 2 --shards 2 --transport bogus",
-                 "--transport");
-  expect_refusal("--spec demo --replicas 2 --shards 2 --resize-at nonsense",
-                 "--resize-at");
+  expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan resize=0@3",
+                 "--fault-plan");
+  expect_refusal(
+      "--spec demo --replicas 2 --shards 2 --strata-bins 2 "
+      "--strata-feature total_work",
+      "--strata-feature");
 }
 
 TEST_F(CliKnobsTest, FaultedDistRunMatchesInProcessArtifactBytes) {
-  // The positive interaction: respawn, socketpair transport, an elastic
-  // resize and a scripted kill all through real argv — and the artifacts
-  // still match the in-process run byte for byte.
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() /
-                       ("coopcr_cli_knobs_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  const std::string ref = (dir / "ref").string();
-  const std::string dist = (dir / "dist").string();
-  const CliResult reference =
-      run_cli("--spec demo --replicas 2 --shards 0 --out " + ref);
-  ASSERT_EQ(reference.exit_code, 0) << reference.output;
-  const CliResult faulted = run_cli(
-      "--spec demo --replicas 2 --shards 2 --transport socketpair "
-      "--respawn 3 --heartbeat-ms 5000 --resize-at 2:3 "
-      "--fault-plan kill=0@1,delay=1@2:2 --out " +
-      dist);
-  ASSERT_EQ(faulted.exit_code, 0) << faulted.output;
-  for (const char* name : {"sweep_demo.csv", "sweep_demo.json"}) {
-    std::ifstream a(fs::path(ref) / name, std::ios::binary);
-    std::ifstream b(fs::path(dist) / name, std::ios::binary);
-    ASSERT_TRUE(a.good() && b.good()) << name;
-    const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                              std::istreambuf_iterator<char>());
-    const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                              std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes_a, bytes_b) << name;
-  }
-  fs::remove_all(dir);
+  // The positive interaction: respawn, a heartbeat, a scripted kill, a
+  // delayed frame and an elastic resize all through real argv — and the
+  // artifacts still match the in-process run byte for byte.
+  expect_artifacts_match_in_process(
+      "--shards 2 --respawn 3 --heartbeat-ms 5000 "
+      "--fault-plan kill=0@1,delay=1@2:2,resize=3@2");
+}
+
+TEST_F(CliKnobsTest, ExecWorkersUnderAFaultPlanMatchInProcessArtifactBytes) {
+  // Exec-mode workers rebuild the spec from argv, so a stall reaches them
+  // only as a forwarded --stall flag: worker 1 sleeps 60 s before its second
+  // result, the heartbeat kills it, and the respawned fleet finishes with
+  // the in-process bytes — long before the stall would have ended.
+  expect_artifacts_match_in_process(
+      "--shards 2 --exec-workers --respawn 2 --heartbeat-ms 300 "
+      "--fault-plan kill=0@1,stall=1@2:60000");
 }
 
 TEST_F(CliKnobsTest, EnvKnobFailuresNameTheEnvVariable) {
@@ -139,10 +156,6 @@ TEST_F(CliKnobsTest, EnvKnobFailuresNameTheEnvVariable) {
   // variable, not the flag — the operator set the env, not argv.
   expect_refusal("--spec demo --replicas 2 --shards 2", "COOPCR_FAULT_PLAN",
                  "COOPCR_FAULT_PLAN=launch=0@1");
-  expect_refusal("--spec demo --replicas 2 --shards 2",
-                 "COOPCR_TRANSPORT", "COOPCR_TRANSPORT=bogus");
-  expect_refusal("--spec demo --replicas 2 --shards 2",
-                 "COOPCR_RESIZE_AT", "COOPCR_RESIZE_AT=nonsense");
   expect_refusal("--spec demo --replicas 2 --shards 2",
                  "COOPCR_HEARTBEAT_MS", "COOPCR_HEARTBEAT_MS=1o0");
   expect_refusal("--spec demo --replicas 2 --shards 2", "COOPCR_RESPAWN",

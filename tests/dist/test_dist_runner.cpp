@@ -114,12 +114,14 @@ TEST_F(DistRunnerTest, PointCallbackFiresInGridOrder) {
 TEST_F(DistRunnerTest, SurvivesWorkerKilledMidUnitWithIdenticalReports) {
   const exp::ExperimentSpec spec = grid_spec();
   const exp::ExperimentReport reference = reference_report(spec);
-  // Worker 0 completes 2 units, then SIGKILLs itself *before* reporting the
-  // second — the re-dispatched unit and the dead worker must leave no trace
-  // in the output.
+  // Worker 0 is SIGKILLed once 2 results have landed, most likely with a
+  // unit in flight — the re-dispatched unit and the dead worker must leave
+  // no trace in the output.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->kill_worker(0, 2);
   dist::DistOptions options;
   options.shards = 3;
-  options.kill_worker_after = 2;
+  options.fault_plan = plan;
   dist::DistSweepRunner runner(options);
   const exp::ExperimentReport survived = runner.run(spec);
   EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
@@ -163,8 +165,8 @@ TEST_F(DistRunnerTest, ResumeAfterWorkerKillStillMatches) {
     dist::DistOptions options;
     options.shards = 2;
     options.journal = journal_;
-    options.kill_worker_after = 1;
     options.fault_plan = interrupt_after(9);
+    options.fault_plan->kill_worker(0, 1);
     dist::DistSweepRunner runner(options);
     EXPECT_THROW(runner.run(spec), Error);
   }
