@@ -21,7 +21,7 @@
 
 #include <iostream>
 
-#include "bench_util.hpp"
+#include "coopcr.hpp"
 
 using namespace coopcr;
 
@@ -83,7 +83,10 @@ int main() {
       }
       active.push_back(i);
       campaigns.push_back(exp::Campaign{
-          bench::prospective_scenario(cell.probe, units::years(cell.years)),
+          ScenarioBuilder::prospective_apex()
+              .pfs_bandwidth(cell.probe)
+              .node_mtbf(units::years(cell.years))
+              .build(),
           {cell.strategy},
           options});
     }
@@ -144,8 +147,10 @@ int main() {
                 << ": " << point.mean << " TB/s\n";
     }
     // Theorem 1 model series.
-    const auto scenario = bench::prospective_scenario(units::tb_per_s(1),
-                                                      units::years(years));
+    const auto scenario = ScenarioBuilder::prospective_apex()
+                              .pfs_bandwidth(units::tb_per_s(1))
+                              .node_mtbf(units::years(years))
+                              .build();
     const double model_beta = min_bandwidth_for_waste(
         scenario.platform, scenario.applications, target_waste, lo, hi);
     Candlestick model;
@@ -161,5 +166,8 @@ int main() {
       "System: prospective (50k nodes, 7 PB); workload: APEX projected",
       "node MTBF (years)", "min bandwidth (TB/s)", rows};
   fig.render(std::cout);
+  if (const auto path = fig.emit_csv()) {
+    std::cout << "\n[csv] wrote " << *path << "\n";
+  }
   return 0;
 }

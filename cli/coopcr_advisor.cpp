@@ -55,17 +55,7 @@ void usage(std::ostream& os) {
 
 int int_arg(const std::string& flag, const char* value) {
   COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const int parsed = std::stoi(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
+  return env::parse_int(flag, value, 0);
 }
 
 std::string json_escape(const std::string& s) {
@@ -86,17 +76,7 @@ std::string json_escape(const std::string& s) {
 
 double double_arg(const std::string& flag, const char* value) {
   COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0.0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
+  return env::parse_double(flag, value, 0.0);
 }
 
 }  // namespace

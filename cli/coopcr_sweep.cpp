@@ -1,8 +1,9 @@
 // coopcr_sweep — distributed, resumable sweep campaigns from the command
 // line.
 //
-// The CLI drives the exp::spec_registry of predefined experiments (a fast
-// demo grid plus the paper's Figure 1 / Figure 2 sweeps) through either
+// The CLI runs any exp::spec_registry entry (a fast demo grid, the paper's
+// Monte Carlo figures 1, 2 and 4, and ablations A1-A4; --list-specs) and
+// prints the entry's own console presentation. It runs through either
 // execution engine, selected purely via exp::ExecutorOptions and built
 // behind the exp::SweepExecutor interface:
 //
@@ -17,6 +18,9 @@
 //   coopcr_sweep --spec fig1 --shards 4 --journal f1.j --out out/
 //   ...SIGKILL...
 //   coopcr_sweep --spec fig1 --shards 4 --journal f1.j --resume --out out/
+//
+// --out DIR writes exactly the structured artifacts <experiment>.csv (long
+// format) and <experiment>.json, e.g. fig1_bandwidth_sweep.{csv,json}.
 //
 // --exec-workers spawns workers by re-executing this binary with --worker
 // (they rebuild the spec from their own command line and the coordinator
@@ -52,15 +56,16 @@ namespace {
 
 void usage(std::ostream& os) {
   os << "usage: coopcr_sweep [options]\n"
-        "  --spec NAME        experiment to run (--list-specs; default demo)\n"
+        "  --spec NAME        registry experiment to run: demo, a paper "
+        "figure or an ablation (--list-specs; default demo)\n"
         "  --replicas N       Monte Carlo replicas per grid point "
         "(COOPCR_REPLICAS; default 4)\n"
         "  --shards N         worker processes; 0 = in-process reference "
         "runner (COOPCR_SHARDS; default 2)\n"
         "  --journal PATH     durable campaign journal (COOPCR_JOURNAL)\n"
         "  --resume           replay --journal, run only the missing units\n"
-        "  --out DIR          write <spec>.csv / <spec>.json artifacts "
-        "(COOPCR_CSV_DIR)\n"
+        "  --out DIR          write <experiment>.csv / <experiment>.json "
+        "artifacts (COOPCR_CSV_DIR)\n"
         "  --exec-workers     spawn workers by re-executing this binary\n"
         "  --antithetic       simulate replicas in antithetic pairs "
         "(COOPCR_ANTITHETIC; needs even --replicas)\n"
@@ -90,32 +95,12 @@ void usage(std::ostream& os) {
 
 int int_arg(const std::string& flag, const char* value) {
   COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const int parsed = std::stoi(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
+  return env::parse_int(flag, value, 0);
 }
 
 double double_arg(const std::string& flag, const char* value) {
   COOPCR_CHECK(value != nullptr, flag + " needs a value");
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    COOPCR_CHECK(used == std::string(value).size() && parsed >= 0.0,
-                 flag + ": bad value \"" + value + "\"");
-    return parsed;
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
-    throw Error(flag + ": bad value \"" + std::string(value) + "\"");
-  }
+  return env::parse_double(flag, value, 0.0);
 }
 
 /// Parse one "--stall N:MS" worker directive.
@@ -139,21 +124,16 @@ dist::WorkerDirectives::Stall stall_arg(const std::string& flag,
 int main(int argc, char** argv) {
   try {
     std::string spec_name = "demo";
-    int replicas = env::int_knob("COOPCR_REPLICAS", 4, 1);
+    // Replicas, threads and the variance-reduction knobs, read from the
+    // environment exactly as every Monte Carlo driver reads them; the flags
+    // below override them.
+    MonteCarloOptions mc = MonteCarloOptions::from_env(/*default_replicas=*/4);
     int shards = env::int_knob("COOPCR_SHARDS", 2, 0);
     std::string journal = env::string_knob("COOPCR_JOURNAL").value_or("");
     std::string out_dir;
     bool resume = false;
     bool exec_workers = false;
     bool worker_mode = false;
-    bool antithetic = env::flag_knob("COOPCR_ANTITHETIC");
-    bool control_variate = env::flag_knob("COOPCR_CONTROL_VARIATE");
-    double target_ci = env::double_knob("COOPCR_TARGET_CI", 0.0, 0.0);
-    int max_replicas = env::int_knob("COOPCR_MAX_REPLICAS", 0, 0);
-    std::string contrast = env::string_knob("COOPCR_CONTRAST").value_or("");
-    int strata_bins = env::int_knob("COOPCR_STRATA_BINS", 0, 0);
-    std::string strata_feature =
-        env::string_knob("COOPCR_STRATA_FEATURE").value_or("");
     int max_respawns = env::int_knob("COOPCR_RESPAWN", 0, 0);
     int heartbeat_ms = env::int_knob("COOPCR_HEARTBEAT_MS", 0, 0);
     std::string fault_plan_text =
@@ -169,8 +149,8 @@ int main(int argc, char** argv) {
         spec_name = next;
         ++i;
       } else if (arg == "--replicas") {
-        replicas = int_arg(arg, next);
-        COOPCR_CHECK(replicas >= 1, "--replicas must be >= 1");
+        mc.replicas = int_arg(arg, next);
+        COOPCR_CHECK(mc.replicas >= 1, "--replicas must be >= 1");
         ++i;
       } else if (arg == "--shards") {
         shards = int_arg(arg, next);
@@ -188,25 +168,25 @@ int main(int argc, char** argv) {
       } else if (arg == "--exec-workers") {
         exec_workers = true;
       } else if (arg == "--antithetic") {
-        antithetic = true;
+        mc.antithetic = true;
       } else if (arg == "--control-variate") {
-        control_variate = true;
+        mc.control_variate = true;
       } else if (arg == "--target-ci") {
-        target_ci = double_arg(arg, next);
+        mc.target_ci_width = double_arg(arg, next);
         ++i;
       } else if (arg == "--max-replicas") {
-        max_replicas = int_arg(arg, next);
+        mc.max_replicas = int_arg(arg, next);
         ++i;
       } else if (arg == "--contrast") {
         COOPCR_CHECK(next, "--contrast needs a value");
-        contrast = next;
+        mc.contrast_reference = next;
         ++i;
       } else if (arg == "--strata-bins") {
-        strata_bins = int_arg(arg, next);
+        mc.strata_bins = int_arg(arg, next);
         ++i;
       } else if (arg == "--strata-feature") {
         COOPCR_CHECK(next, "--strata-feature needs a value");
-        strata_feature = next;
+        mc.strata_feature = next;
         ++i;
       } else if (arg == "--respawn") {
         max_respawns = int_arg(arg, next);
@@ -238,22 +218,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Registry specs stay pure functions of (name, replicas); the
-    // variance-reduction knobs are overlaid afterwards — in worker mode too,
-    // and *before* worker_serve, because the spec digest folds the pairing
-    // options in and both sides must build the same campaign shape.
-    exp::ExperimentSpec spec = exp::build_named_spec(spec_name, replicas);
-    {
-      MonteCarloOptions mc = spec.campaign_options();
-      mc.antithetic = antithetic;
-      mc.control_variate = control_variate;
-      mc.target_ci_width = target_ci;
-      mc.max_replicas = max_replicas;
-      mc.contrast_reference = contrast;
-      mc.strata_bins = strata_bins;
-      if (!strata_feature.empty()) mc.strata_feature = strata_feature;
-      spec.options(mc);
-    }
+    // Registry specs stay pure functions of (name, replicas); the campaign
+    // options are overlaid afterwards — in worker mode too, and *before*
+    // worker_serve, because the spec digest folds the pairing options in and
+    // both sides must build the same campaign shape.
+    exp::ExperimentSpec spec = exp::build_named_spec(spec_name, mc.replicas);
+    spec.options(mc);
 
     if (worker_mode) {
       // Exec-mode worker: rebuilt the spec above from --spec/--replicas;
@@ -271,7 +241,7 @@ int main(int argc, char** argv) {
     }
 
     std::cerr << "[coopcr_sweep] spec " << spec.name() << ": "
-              << spec.grid_size() << " points x " << replicas
+              << spec.grid_size() << " points x " << mc.replicas
               << " replicas, engine "
               << (shards == 0 ? std::string("in-process")
                               : std::to_string(shards) + " shards")
@@ -287,7 +257,7 @@ int main(int argc, char** argv) {
                    "--respawn/--heartbeat-ms/--fault-plan require "
                    "--shards >= 1");
       options.backend = exp::ExecutorBackend::kInProcess;
-      options.threads = env::int_knob("COOPCR_THREADS", 0, 0);
+      options.threads = mc.threads;
     } else {
       COOPCR_CHECK(!resume || !journal.empty(),
                    "--resume requires --journal (or COOPCR_JOURNAL)");
@@ -303,35 +273,33 @@ int main(int argc, char** argv) {
       }
       if (exec_workers) {
         options.worker_command = {argv[0], "--worker", "--spec", spec_name,
-                                  "--replicas", std::to_string(replicas)};
+                                  "--replicas", std::to_string(mc.replicas)};
         // Forward the options the spec digest covers, so an exec worker
         // rebuilds the exact same campaign shape.
-        if (antithetic) options.worker_command.push_back("--antithetic");
-        if (control_variate) {
+        if (mc.antithetic) options.worker_command.push_back("--antithetic");
+        if (mc.control_variate) {
           options.worker_command.push_back("--control-variate");
         }
-        if (target_ci > 0.0) {
+        if (mc.target_ci_width > 0.0) {
           options.worker_command.push_back("--target-ci");
           // Round-trip formatting: the spec digest folds the exact bit
           // pattern, so the worker must parse back the identical double.
-          options.worker_command.push_back(format_number(target_ci));
+          options.worker_command.push_back(format_number(mc.target_ci_width));
         }
-        if (max_replicas > 0) {
+        if (mc.max_replicas > 0) {
           options.worker_command.push_back("--max-replicas");
-          options.worker_command.push_back(std::to_string(max_replicas));
+          options.worker_command.push_back(std::to_string(mc.max_replicas));
         }
-        if (!contrast.empty()) {
+        if (!mc.contrast_reference.empty()) {
           options.worker_command.push_back("--contrast");
-          options.worker_command.push_back(contrast);
+          options.worker_command.push_back(mc.contrast_reference);
         }
-        if (strata_bins > 0) {
+        if (mc.strata_bins > 0) {
           options.worker_command.push_back("--strata-bins");
-          options.worker_command.push_back(std::to_string(strata_bins));
+          options.worker_command.push_back(std::to_string(mc.strata_bins));
         }
-        if (!strata_feature.empty()) {
-          options.worker_command.push_back("--strata-feature");
-          options.worker_command.push_back(strata_feature);
-        }
+        options.worker_command.push_back("--strata-feature");
+        options.worker_command.push_back(mc.strata_feature);
       }
     }
     std::unique_ptr<exp::SweepExecutor> executor =
@@ -344,21 +312,8 @@ int main(int argc, char** argv) {
     }
     exp::ExperimentReport report = executor->run(spec);
 
-    // Human-readable summary on stdout; machine artifacts via --out.
-    for (const auto& pr : report.points) {
-      std::cout << pr.point.label();
-      // Under sequential stopping each point may have grown to a different
-      // replica count — surface it next to the label.
-      if (pr.report.vr_enabled) {
-        std::cout << " [replicas " << pr.report.replicas << "]";
-      }
-      std::cout << "\n";
-      for (const auto& outcome : pr.report.outcomes) {
-        std::cout << "  " << outcome.strategy.name()
-                  << ": waste ratio mean = "
-                  << TablePrinter::fmt(outcome.waste_ratio.mean(), 4) << "\n";
-      }
-    }
+    // The entry's presentation on stdout; machine artifacts via --out.
+    exp::find_spec_by_experiment(spec.name())->render(report, std::cout);
     if (const auto path = report.emit_csv()) {
       std::cout << "[csv] wrote " << *path << "\n";
     }

@@ -419,9 +419,6 @@ std::optional<std::string> Figure::emit_csv() const {
 
 void Figure::render(std::ostream& os) const {
   print(os);
-  if (const auto path = emit_csv()) {
-    os << "\n[csv] wrote " << *path << "\n";
-  }
   // Optional terminal plot of the mean curves (COOPCR_PLOT=1).
   if (env::flag_knob("COOPCR_PLOT")) {
     std::map<std::string, std::vector<std::pair<double, double>>> by_series;

@@ -8,11 +8,9 @@
 // candlestick summaries. Number formatting is locale-independent
 // (util/csv.hpp format_number) and round-trips doubles exactly.
 //
-// Figure absorbs the historical bench_util.hpp presentation code: the
-// paper-style candlestick console table, the legacy per-figure CSV schema,
-// and the optional COOPCR_PLOT ascii chart. Both layers honour
-// COOPCR_CSV_DIR through the emit_* helpers, replacing the ad-hoc emission
-// every bench used to hand-roll.
+// Figure is the paper-style presentation: the candlestick console table,
+// the optional COOPCR_PLOT ascii chart, and the legacy per-figure CSV
+// schema. Both layers honour COOPCR_CSV_DIR through the emit_* helpers.
 
 #pragma once
 
@@ -149,9 +147,9 @@ struct Figure {
   /// Write the CSV under COOPCR_CSV_DIR as `<id>.csv`; nullopt when unset.
   std::optional<std::string> emit_csv() const;
 
-  /// The full bench presentation: print(os), CSV emission with a
-  /// "[csv] wrote <path>" note, and the COOPCR_PLOT=1 ascii chart of the
-  /// mean curves.
+  /// The console presentation: print(os) and the COOPCR_PLOT=1 ascii chart
+  /// of the mean curves. Writes no files — callers that want the legacy CSV
+  /// call emit_csv() themselves.
   void render(std::ostream& os) const;
 };
 

@@ -1,6 +1,7 @@
 // coopcr/util/env.hpp
 //
-// The one strict parser for every COOPCR_* environment knob.
+// The one strict parser for every COOPCR_* environment knob and for the
+// numeric command-line flags of the cli/ drivers.
 //
 // Every binary in the repo reads its runtime knobs (COOPCR_REPLICAS,
 // COOPCR_THREADS, COOPCR_CSV_DIR, COOPCR_SHARDS, COOPCR_JOURNAL,
@@ -21,6 +22,15 @@ namespace coopcr::env {
 /// Raw value of `name`; nullopt when unset or empty. The one getenv wrapper
 /// everything else builds on.
 std::optional<std::string> raw(const char* name);
+
+/// Strict base-10 integer in [min_value, INT_MAX] from `text`, the value of
+/// the knob or flag `what`. Throws coopcr::Error naming `what` on
+/// non-numeric input, leading or trailing garbage, or out-of-range values.
+int parse_int(const std::string& what, const std::string& text, int min_value);
+
+/// Strict finite number in [min_value, +inf) from `text`; errors as above.
+double parse_double(const std::string& what, const std::string& text,
+                    double min_value);
 
 /// Strict base-10 integer knob in [min_value, INT_MAX]. Unset/empty falls
 /// back to `fallback` (which is not range-checked — callers own their

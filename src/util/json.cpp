@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -38,11 +37,10 @@ double JsonValue::as_double() const {
 
 std::int64_t JsonValue::as_int() const {
   const double d = as_double();
-  COOPCR_CHECK(std::nearbyint(d) == d &&
-                   d >= static_cast<double>(
-                            std::numeric_limits<std::int64_t>::min()) &&
-                   d <= static_cast<double>(
-                            std::numeric_limits<std::int64_t>::max()),
+  // int64 spans [-2^63, 2^63); 2^63 itself is the double nearest to
+  // int64 max, so the upper bound must be exclusive.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  COOPCR_CHECK(std::nearbyint(d) == d && d >= -kTwoTo63 && d < kTwoTo63,
                "JSON number is not an exact integer");
   return static_cast<std::int64_t>(d);
 }
@@ -132,8 +130,15 @@ class JsonParser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounded recursion: a hostile document is refused instead of
+        // exhausting the stack (emitted artifacts nest 6 levels deep).
+        if (++depth_ > 256) fail("nesting deeper than 256 levels");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -293,6 +298,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue JsonValue::parse(const std::string& text) {

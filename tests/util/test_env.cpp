@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "util/env.hpp"
 #include "util/error.hpp"
@@ -86,6 +87,22 @@ TEST_F(EnvTest, FlagKnobAcceptsOnlyZeroAndOne) {
   EXPECT_TRUE(flag_knob(kKnob));
   set("yes");
   EXPECT_THROW(flag_knob(kKnob), Error);
+}
+
+TEST(EnvParse, FlagValuesGetTheKnobParserAndNameTheFlag) {
+  EXPECT_EQ(parse_int("--shards", "3", 0), 3);
+  EXPECT_EQ(parse_double("--target-ci", "0.02", 0.0), 0.02);
+  for (const char* bad : {"", " 3", "+3", "3x", "inf", "nan", "-1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(parse_int("--shards", bad, 0), Error);
+    EXPECT_THROW(parse_double("--target-ci", bad, 0.0), Error);
+  }
+  try {
+    parse_int("--shards", "two", 0);
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos);
+  }
 }
 
 }  // namespace
