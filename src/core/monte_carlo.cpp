@@ -1,9 +1,7 @@
 #include "core/monte_carlo.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <thread>
 
 #include "core/lower_bound.hpp"
 #include "platform/failure_model.hpp"
@@ -107,77 +105,87 @@ MonteCarloCampaign::MonteCarloCampaign(ScenarioConfig scenario,
   }
 }
 
-void MonteCarloCampaign::run_replica_task(int t) {
-  COOPCR_CHECK(t >= 0 && t < tasks(), "task index out of range");
+ReplicaInputs prepare_replica(const ScenarioConfig& scenario,
+                              std::uint64_t replica, bool antithetic,
+                              SimWorkspace& workspace) {
   // Under antithetic pairing, odd replica 2p+1 replays replica 2p's stream
   // with every continuous uniform reflected (u' = 1 - u): its workload,
   // failure trace and baseline are the mirror draw of its partner's.
   // Reflecting before any draw is what couples the whole replica — pairing
   // only the failure gaps leaves the workload variance (which dominates the
   // waste ratio on quiet scenarios) uncancelled.
-  const bool reflected = options_.antithetic && t % 2 == 1;
-  Rng rng = Rng::stream(scenario_.seed,
-                        static_cast<std::uint64_t>(reflected ? t - 1 : t));
+  const bool reflected = antithetic && replica % 2 == 1;
+  Rng rng = Rng::stream(scenario.seed, reflected ? replica - 1 : replica);
   rng.set_antithetic(reflected);
-  WorkloadGenerator generator(scenario_.simulation.classes, scenario_.platform,
-                              scenario_.workload);
-  const std::vector<Job> jobs = generator.generate(rng);
-  const sim::Time stop = std::min(scenario_.simulation.horizon,
-                                  scenario_.simulation.segment_end);
-  const std::vector<Failure> failures =
-      scenario_.failures.generate(scenario_.platform, stop, rng);
+  WorkloadGenerator generator(scenario.simulation.classes, scenario.platform,
+                              scenario.workload);
+  ReplicaInputs in;
+  in.jobs = generator.generate(rng);
+  const sim::Time stop = std::min(scenario.simulation.horizon,
+                                  scenario.simulation.segment_end);
+  in.failures = scenario.failures.generate(scenario.platform, stop, rng);
 
-  // One warm substrate per replica task: the baseline and every strategy run
-  // reuse the same engine/IO slabs, so only the first run of the task pays
-  // for their growth (results are bit-identical to fresh construction).
-  SimWorkspace workspace;
-  ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
   const SimulationResult baseline =
-      simulate_baseline(scenario_.simulation, jobs, workspace);
-  out.slot.baseline_useful = baseline.useful;
-  out.slot.baseline_useful_energy = baseline.energy.useful();
-  COOPCR_CHECK(out.slot.baseline_useful > 0.0,
+      simulate_baseline(scenario.simulation, in.jobs, workspace);
+  in.slot.baseline_useful = baseline.useful;
+  in.slot.baseline_useful_energy = baseline.energy.useful();
+  COOPCR_CHECK(in.slot.baseline_useful > 0.0,
                "baseline run produced no useful work — check the workload");
-  out.slot.cv_predictor =
-      cv_intercept_ + cv_slope_ * static_cast<double>(failures.size());
 
   // Realised workload summaries for post-stratification. Recorded
   // unconditionally: one compose() pass per replica is noise next to the
   // simulations, and always-on features keep the slot layout (and so the
   // wire/journal formats) independent of the estimator options.
-  const WorkloadComposition comp = generator.compose(jobs);
-  out.slot.work_total = comp.total_node_seconds;
-  out.slot.work_jobs = static_cast<double>(jobs.size());
-  out.slot.work_max_share = 0.0;
+  const WorkloadComposition comp = generator.compose(in.jobs);
+  in.slot.work_total = comp.total_node_seconds;
+  in.slot.work_jobs = static_cast<double>(in.jobs.size());
   for (const double share : comp.shares) {
-    out.slot.work_max_share = std::max(out.slot.work_max_share, share);
+    in.slot.work_max_share = std::max(in.slot.work_max_share, share);
   }
+  return in;
+}
+
+ReplicaStrategyMetrics strategy_metrics(const SimulationResult& result,
+                                        double base_useful,
+                                        double base_energy) {
+  ReplicaStrategyMetrics m;
+  m.waste_ratio = result.wasted / base_useful;
+  m.efficiency = result.useful / base_useful;
+  m.utilization = result.avg_utilization;
+  m.failures_hit = static_cast<double>(result.counters.failures_on_jobs);
+  m.checkpoints = static_cast<double>(result.counters.checkpoints_completed);
+  m.energy_joules = result.energy.total();
+  m.energy_waste_ratio = result.energy.wasted() / base_energy;
+  m.ckpt_waste_ratio =
+      result.accounting.total(TimeCategory::kCheckpoint) / base_useful;
+  return m;
+}
+
+void MonteCarloCampaign::run_replica_task(int t) {
+  COOPCR_CHECK(t >= 0 && t < tasks(), "task index out of range");
+  // One warm substrate per replica task: the baseline and every strategy run
+  // reuse the same engine/IO slabs, so only the first run of the task pays
+  // for their growth (results are bit-identical to fresh construction).
+  SimWorkspace workspace;
+  ReplicaInputs in = prepare_replica(
+      scenario_, static_cast<std::uint64_t>(t), options_.antithetic, workspace);
+  ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
+  out.slot = std::move(in.slot);
+  out.slot.cv_predictor =
+      cv_intercept_ + cv_slope_ * static_cast<double>(in.failures.size());
 
   // Metrics are finished at task time (not at reduce time) so a slot is a
   // flat double tuple any executor — local pool, worker process, journal
   // replay — can hand to reduce() bit-identically.
-  out.slot.per_strategy.clear();
   out.slot.per_strategy.reserve(strategies_.size());
   out.results.clear();
   if (options_.keep_results) out.results.reserve(strategies_.size());
-  const double base_useful = out.slot.baseline_useful;
-  const double base_energy = out.slot.baseline_useful_energy;
   for (const Strategy& strategy : strategies_) {
     SimulationConfig cfg = scenario_.simulation;
     cfg.strategy = strategy;
-    SimulationResult result = simulate(cfg, jobs, failures, workspace);
-    ReplicaStrategyMetrics m;
-    m.waste_ratio = result.wasted / base_useful;
-    m.efficiency = result.useful / base_useful;
-    m.utilization = result.avg_utilization;
-    m.failures_hit = static_cast<double>(result.counters.failures_on_jobs);
-    m.checkpoints =
-        static_cast<double>(result.counters.checkpoints_completed);
-    m.energy_joules = result.energy.total();
-    m.energy_waste_ratio = result.energy.wasted() / base_energy;
-    m.ckpt_waste_ratio =
-        result.accounting.total(TimeCategory::kCheckpoint) / base_useful;
-    out.slot.per_strategy.push_back(m);
+    SimulationResult result = simulate(cfg, in.jobs, in.failures, workspace);
+    out.slot.per_strategy.push_back(strategy_metrics(
+        result, out.slot.baseline_useful, out.slot.baseline_useful_energy));
     if (options_.keep_results) out.results.push_back(std::move(result));
   }
   out.done = true;
@@ -329,40 +337,6 @@ void MonteCarloCampaign::extend(int new_replicas) {
   outputs_.resize(static_cast<std::size_t>(tasks()));
 }
 
-MonteCarloReport run_monte_carlo(const ScenarioConfig& scenario,
-                                 const std::vector<Strategy>& strategies,
-                                 const MonteCarloOptions& options) {
-  COOPCR_CHECK(options.target_ci_width == 0.0,
-               "sequential stopping (target_ci_width) runs through "
-               "exp::SweepRunner, not run_monte_carlo");
-  MonteCarloCampaign campaign(scenario, strategies, options);
-  const int task_count = campaign.tasks();
-  unsigned thread_count =
-      options.threads > 0 ? static_cast<unsigned>(options.threads)
-                          : std::thread::hardware_concurrency();
-  if (thread_count == 0) thread_count = 1;
-  thread_count = std::min<unsigned>(thread_count,
-                                    static_cast<unsigned>(task_count));
-
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int t = next.fetch_add(1);
-      if (t >= task_count) break;
-      campaign.run_replica_task(t);
-    }
-  };
-  if (thread_count <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(thread_count);
-    for (unsigned t = 0; t < thread_count; ++t) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-  return campaign.reduce();
-}
-
 void submit_campaign_task_range(ThreadPool& pool, MonteCarloCampaign& campaign,
                                 std::vector<std::exception_ptr>& errors,
                                 int first, int last,
@@ -385,56 +359,50 @@ void submit_campaign_task_range(ThreadPool& pool, MonteCarloCampaign& campaign,
   }
 }
 
-void submit_campaign_tasks(ThreadPool& pool, MonteCarloCampaign& campaign,
-                           std::vector<std::exception_ptr>& errors,
-                           std::function<void()> on_task_done) {
-  errors.clear();
-  submit_campaign_task_range(pool, campaign, errors, 0, campaign.tasks(),
-                             std::move(on_task_done));
-}
-
-void rethrow_first_error(const std::vector<std::exception_ptr>& errors) {
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
+void rethrow_first_error(const std::vector<std::exception_ptr>& errors,
+                         const std::string& context) {
+  for (std::size_t r = 0; r < errors.size(); ++r) {
+    if (!errors[r]) continue;
+    try {
+      std::rethrow_exception(errors[r]);
+    } catch (const std::exception& e) {
+      throw Error(context + ", replica " + std::to_string(r) + ": " +
+                  e.what());
+    }
   }
 }
 
 MonteCarloReport run_monte_carlo(const ScenarioConfig& scenario,
                                  const std::vector<Strategy>& strategies,
-                                 const MonteCarloOptions& options,
-                                 ThreadPool& pool) {
+                                 const MonteCarloOptions& options) {
   COOPCR_CHECK(options.target_ci_width == 0.0,
                "sequential stopping (target_ci_width) runs through "
                "exp::SweepRunner, not run_monte_carlo");
   MonteCarloCampaign campaign(scenario, strategies, options);
+  ThreadPool pool(
+      std::min(ThreadPool::resolve_size(options.threads), campaign.tasks()));
   std::vector<std::exception_ptr> errors;
-  submit_campaign_tasks(pool, campaign, errors);
+  submit_campaign_task_range(pool, campaign, errors, 0, campaign.tasks());
   pool.wait_idle();
-  rethrow_first_error(errors);
+  rethrow_first_error(errors, "Monte Carlo campaign on \"" +
+                                  scenario.platform.name + "\" failed");
   return campaign.reduce();
 }
 
 ReplicaRun run_replica(const ScenarioConfig& scenario,
                        const Strategy& strategy, std::uint64_t replica) {
-  Rng rng = Rng::stream(scenario.seed, replica);
-  WorkloadGenerator generator(scenario.simulation.classes, scenario.platform,
-                              scenario.workload);
-  const std::vector<Job> jobs = generator.generate(rng);
-  const sim::Time stop = std::min(scenario.simulation.horizon,
-                                  scenario.simulation.segment_end);
-  const std::vector<Failure> failures =
-      scenario.failures.generate(scenario.platform, stop, rng);
   SimWorkspace workspace;
-  const SimulationResult baseline =
-      simulate_baseline(scenario.simulation, jobs, workspace);
+  const ReplicaInputs in =
+      prepare_replica(scenario, replica, /*antithetic=*/false, workspace);
   SimulationConfig cfg = scenario.simulation;
   cfg.strategy = strategy;
-  ReplicaRun run(simulate(cfg, jobs, failures, workspace));
-  run.baseline_useful = baseline.useful;
-  run.waste_ratio = run.result.wasted / baseline.useful;
-  run.baseline_useful_energy = baseline.energy.useful();
-  run.energy_waste_ratio =
-      run.result.energy.wasted() / run.baseline_useful_energy;
+  ReplicaRun run(simulate(cfg, in.jobs, in.failures, workspace));
+  const ReplicaStrategyMetrics m = strategy_metrics(
+      run.result, in.slot.baseline_useful, in.slot.baseline_useful_energy);
+  run.baseline_useful = in.slot.baseline_useful;
+  run.waste_ratio = m.waste_ratio;
+  run.baseline_useful_energy = in.slot.baseline_useful_energy;
+  run.energy_waste_ratio = m.energy_waste_ratio;
   return run;
 }
 

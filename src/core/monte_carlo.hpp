@@ -9,11 +9,13 @@
 // identical for any thread count. All strategies of a replica share the same
 // initial conditions so the comparison is paired, exactly as in the paper.
 //
-// The harness is decomposed into MonteCarloCampaign so that an external
-// executor (exp::SweepRunner's shared ThreadPool) can schedule replicas from
-// many campaigns at once: one replica = one task writing into a preassigned
-// slot, and reduce() folds the slots in replica order. run_monte_carlo is the
-// single-campaign convenience wrapper over the same decomposition.
+// One replica is defined once: prepare_replica draws its inputs and runs its
+// baseline, strategy_metrics turns each strategy run into the slot's metric
+// tuple. MonteCarloCampaign builds its slot-writing tasks on the two, so an
+// external executor (exp::SweepRunner's shared ThreadPool, dist worker
+// processes) can schedule replicas from many campaigns at once, and reduce()
+// folds the slots in replica order. run_monte_carlo runs one campaign on a
+// local pool; run_replica is one replica under one strategy.
 
 #pragma once
 
@@ -97,7 +99,8 @@ struct MonteCarloOptions {
   /// knobs COOPCR_ANTITHETIC, COOPCR_CONTROL_VARIATE, COOPCR_TARGET_CI,
   /// COOPCR_MAX_REPLICAS, COOPCR_CONTRAST, COOPCR_STRATA_BINS and
   /// COOPCR_STRATA_FEATURE — from the environment, falling back to the
-  /// provided defaults when unset or empty. Used by every bench binary.
+  /// provided defaults when unset or empty. Used by coopcr_sweep,
+  /// fig3_prospective and the examples.
   /// Throws coopcr::Error on malformed values (non-numeric, trailing
   /// garbage, out of range): COOPCR_REPLICAS must be >= 1 and COOPCR_THREADS
   /// >= 0 (0 keeps the hardware-concurrency default).
@@ -207,12 +210,13 @@ struct ReplicaSlot {
 
 /// One campaign decomposed into schedulable replica tasks.
 ///
-/// Usage (what run_monte_carlo does internally):
+/// Usage (what run_monte_carlo does):
 ///
 ///   MonteCarloCampaign campaign(scenario, strategies, options);
-///   for (int t = 0; t < campaign.tasks(); ++t)
-///     pool.submit([&, t] { campaign.run_replica_task(t); });
+///   std::vector<std::exception_ptr> errors;
+///   submit_campaign_task_range(pool, campaign, errors, 0, campaign.tasks());
 ///   pool.wait_idle();
+///   rethrow_first_error(errors, "campaign failed");
 ///   MonteCarloReport report = campaign.reduce();
 ///
 /// run_replica_task is thread-safe for distinct task indices (each writes
@@ -223,10 +227,9 @@ struct ReplicaSlot {
 /// slot(), ships the doubles over the wire, and the coordinator calls
 /// install_slot() — reduce() cannot tell the difference.
 ///
-/// Task t is replica t in every mode. Replica t draws its initial
-/// conditions from Rng::stream(seed, t), except that under antithetic
-/// pairing an odd replica 2p+1 draws from the reflected copy of stream
-/// (seed, 2p).
+/// Task t is replica t in every mode: prepare_replica(scenario, t,
+/// options.antithetic) followed by one simulate + strategy_metrics per
+/// strategy.
 class MonteCarloCampaign {
  public:
   /// Validates the inputs (non-empty strategy set, positive replicas, built
@@ -235,7 +238,6 @@ class MonteCarloCampaign {
   MonteCarloCampaign(ScenarioConfig scenario, std::vector<Strategy> strategies,
                      MonteCarloOptions options);
 
-  int replicas() const { return options_.replicas; }
   /// Schedulable task count: one task per replica.
   int tasks() const { return options_.replicas; }
   const ScenarioConfig& scenario() const { return scenario_; }
@@ -314,47 +316,63 @@ class MonteCarloCampaign {
   double cv_predictor_mean_ = 0.0;
 };
 
-/// Submit every task of `campaign` onto `pool` as non-throwing tasks:
-/// `errors` is resized to tasks() and each task stashes its exception (if
-/// any) into its own slot; `on_task_done` (optional) runs after every task,
-/// including failed ones. `campaign` and `errors` must outlive the tasks —
-/// drain the pool (wait_idle) before unwinding past them, then pass `errors`
-/// to rethrow_first_error. This is the one scheduling shim shared by
-/// run_monte_carlo and exp::SweepRunner.
-void submit_campaign_tasks(ThreadPool& pool, MonteCarloCampaign& campaign,
-                           std::vector<std::exception_ptr>& errors,
-                           std::function<void()> on_task_done = nullptr);
-
-/// Range overload for sequential stopping: submit tasks [first, last) only,
-/// growing `errors` to at least `last` slots. submit_campaign_tasks is the
-/// (0, tasks()) special case.
+/// Submit tasks [first, last) of `campaign` onto `pool` as non-throwing
+/// tasks: `errors` grows to at least `last` slots and each task stashes its
+/// exception (if any) into its own slot; `on_task_done` (optional) runs after
+/// every task, including failed ones. `campaign` and `errors` must outlive
+/// the tasks — drain the pool (wait_idle) before unwinding past them, then
+/// pass `errors` to rethrow_first_error. This is the one scheduling shim
+/// shared by run_monte_carlo and exp::SweepRunner.
 void submit_campaign_task_range(ThreadPool& pool, MonteCarloCampaign& campaign,
                                 std::vector<std::exception_ptr>& errors,
                                 int first, int last,
                                 std::function<void()> on_task_done = nullptr);
 
-/// Rethrow the first stashed task error, if any (deterministic slot order).
-void rethrow_first_error(const std::vector<std::exception_ptr>& errors);
+/// Rethrow the first stashed task error, if any (deterministic slot order),
+/// prefixed with `context` (which campaign failed) and the replica index —
+/// a bare rethrow would leave the caller guessing which of a thousand tasks
+/// blew up. Non-std exceptions propagate unwrapped.
+void rethrow_first_error(const std::vector<std::exception_ptr>& errors,
+                         const std::string& context);
 
-/// Run `options.replicas` replicas of `scenario` under each strategy.
+/// Run `options.replicas` replicas of `scenario` under each strategy on a
+/// local pool of min(threads or hardware concurrency, replicas) workers.
 /// `scenario` must come out of ScenarioBuilder::build (classes resolved).
+/// Sequential stopping (target_ci_width) runs through exp::SweepRunner and
+/// is rejected here.
 MonteCarloReport run_monte_carlo(const ScenarioConfig& scenario,
                                  const std::vector<Strategy>& strategies,
                                  const MonteCarloOptions& options);
 
-/// Same campaign, but scheduled onto a caller-owned pool (options.threads is
-/// ignored — the pool decides the parallelism). Results are bit-identical to
-/// the internal-threads overload. Blocks until the pool drains, so it must
-/// not be called from one of `pool`'s own workers (ThreadPool::wait_idle
-/// throws on that re-entrant use).
-MonteCarloReport run_monte_carlo(const ScenarioConfig& scenario,
-                                 const std::vector<Strategy>& strategies,
-                                 const MonteCarloOptions& options,
-                                 ThreadPool& pool);
+/// One replica's drawn initial conditions and its baseline run. `slot`
+/// holds the baseline denominators and the realised workload features;
+/// its per-strategy tuples and control-variate predictor are left for the
+/// caller.
+struct ReplicaInputs {
+  std::vector<Job> jobs;
+  std::vector<Failure> failures;
+  ReplicaSlot slot;
+};
 
-/// Single-replica convenience: generate initial conditions from
-/// (scenario.seed, replica) and simulate one strategy. Used by tests and the
-/// quickstart example.
+/// Materialise replica `replica` of `scenario`: its stream is
+/// Rng::stream(seed, replica), or under antithetic pairing for an odd
+/// replica 2p+1 the reflected copy of stream (seed, 2p); the stream draws
+/// the jobs, then the failure trace. The baseline runs on `workspace`.
+/// Throws coopcr::Error when the baseline does no useful work (every waste
+/// ratio would divide by zero).
+ReplicaInputs prepare_replica(const ScenarioConfig& scenario,
+                              std::uint64_t replica, bool antithetic,
+                              SimWorkspace& workspace);
+
+/// The metric tuple of one strategy run against its replica's baseline
+/// useful unit-seconds and joules.
+ReplicaStrategyMetrics strategy_metrics(const SimulationResult& result,
+                                        double base_useful,
+                                        double base_energy);
+
+/// Single-replica convenience: replica `replica` of a non-antithetic
+/// campaign on `scenario`, simulated under one strategy. Used by tests and
+/// the quickstart example.
 struct ReplicaRun {
   SimulationResult result;
   double baseline_useful = 0.0;

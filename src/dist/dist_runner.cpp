@@ -174,7 +174,6 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   ignore_sigpipe();
 
   std::vector<exp::GridPoint> points = spec.expand();
-  const int replicas = spec.campaign_options().replicas;
   // Sequential stopping shares its round logic with the in-process runner:
   // the cap, the clamped round-one count and the per-round grow-or-settle
   // decision all come from exp::sequential_stopping_* helpers, so the growth
@@ -248,7 +247,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   auto refill_pending = [&]() {
     pending.clear();
     for (std::uint32_t p = 0; p < header.points; ++p) {
-      const auto count = static_cast<std::uint32_t>(campaigns[p]->replicas());
+      const auto count = static_cast<std::uint32_t>(campaigns[p]->tasks());
       for (std::uint32_t r = 0; r < count; ++r) {
         if (!campaigns[p]->slot_done(static_cast<int>(r))) {
           pending.push_back(UnitMsg{p, r});
@@ -640,7 +639,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     for (std::uint32_t p = 0; p < header.points; ++p) {
       const int next = exp::next_sequential_round(*campaigns[p], replica_cap);
       next_counts[p] = static_cast<std::uint32_t>(
-          next > 0 ? next : campaigns[p]->replicas());
+          next > 0 ? next : campaigns[p]->tasks());
       if (next > 0) any_extend = true;
     }
     if (!any_extend) break;
@@ -690,13 +689,10 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   }
   if (journal) journal->close();
 
-  // Reduction and report assembly mirror exp::SweepRunner::run exactly —
-  // grid order, same callback contract — which is what makes the reports
-  // byte-identical across the two runners.
-  exp::ExperimentReport report;
-  report.name = spec.name();
-  report.replicas = replicas;
-  for (const auto& axis : spec.axes()) report.axis_names.push_back(axis.name);
+  // Reduction and report assembly mirror exp::SweepRunner::run — the same
+  // report header, grid order and callback contract — which is what makes
+  // the reports byte-identical across the two runners.
+  exp::ExperimentReport report = exp::ExperimentReport::for_spec(spec);
   report.points.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     MonteCarloReport point_report = campaigns[p]->reduce();

@@ -8,13 +8,6 @@
 
 namespace coopcr::exp {
 
-std::vector<MonteCarloReport> SweepExecutor::run_batch(
-    std::vector<Campaign> /*campaigns*/) {
-  throw Error("the " + backend_name() +
-              " backend does not support run_batch — check "
-              "supports_run_batch() before calling");
-}
-
 ExecutorBackend executor_backend_from_name(const std::string& name) {
   if (name == "inprocess" || name == "in-process") {
     return ExecutorBackend::kInProcess;

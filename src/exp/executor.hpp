@@ -3,8 +3,9 @@
 // The backend-neutral sweep execution interface.
 //
 // SweepExecutor is the one contract every sweep engine implements:
-// `run(spec) -> ExperimentReport`, plus an optional `run_batch` capability
-// for adaptive drivers (fig3's lockstep bisection, sequential stopping).
+// `run(spec) -> ExperimentReport` with grid-order point callbacks.
+// Adaptive drivers that pick their next campaigns from earlier results
+// (fig3's lockstep bisection) call exp::SweepRunner::run_batch directly.
 // Two backends ship with the repo — exp::SweepRunner (shared thread pool,
 // in-process) and dist::DistSweepRunner (multi-process shard workers with a
 // durable journal) — and both produce byte-identical reports for the same
@@ -35,13 +36,6 @@ class FaultPlan;  // dist/fault_injection.hpp — kept out of this header
 
 namespace coopcr::exp {
 
-/// One unit of sweep work: a Monte Carlo campaign (scenario × strategy set).
-struct Campaign {
-  ScenarioConfig scenario;
-  std::vector<Strategy> strategies;
-  MonteCarloOptions options;  ///< `threads` is ignored — the engine governs
-};
-
 /// Abstract sweep engine. Implementations must honour the determinism
 /// contract: for the same expanded spec, reports are bit-identical across
 /// backends, thread counts, shard counts and resume histories.
@@ -60,16 +54,6 @@ class SweepExecutor {
   using PointCallback =
       std::function<void(const GridPoint&, const MonteCarloReport&)>;
   virtual SweepExecutor& on_point(PointCallback callback) = 0;
-
-  /// True when run_batch() is implemented — adaptive drivers whose next
-  /// grid is data-dependent need it; plain grid sweeps do not.
-  virtual bool supports_run_batch() const { return false; }
-
-  /// Run several campaigns concurrently; reports come back in campaign
-  /// order. The default implementation throws coopcr::Error naming the
-  /// backend — check supports_run_batch() first.
-  virtual std::vector<MonteCarloReport> run_batch(
-      std::vector<Campaign> campaigns);
 };
 
 /// Which sweep engine make_sweep_executor builds.

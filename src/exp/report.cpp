@@ -97,6 +97,14 @@ const std::vector<Metric>& all_metrics() {
   return kAll;
 }
 
+ExperimentReport ExperimentReport::for_spec(const ExperimentSpec& spec) {
+  ExperimentReport report;
+  report.name = spec.name();
+  report.replicas = spec.campaign_options().replicas;
+  for (const auto& axis : spec.axes()) report.axis_names.push_back(axis.name);
+  return report;
+}
+
 const PointResult& ExperimentReport::at(std::size_t index) const {
   COOPCR_CHECK(index < points.size(),
                "grid point index " + std::to_string(index) +

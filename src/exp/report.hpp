@@ -82,6 +82,10 @@ struct ExperimentReport {
   std::vector<PointResult> points;      ///< in grid (row-major) order
   int replicas = 0;                     ///< per grid point
 
+  /// The empty report a sweep of `spec` fills: its name, requested
+  /// replicas and axis names, no points yet.
+  static ExperimentReport for_spec(const ExperimentSpec& spec);
+
   /// Bounds-checked point access; throws coopcr::Error.
   const PointResult& at(std::size_t index) const;
 

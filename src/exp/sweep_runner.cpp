@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <utility>
@@ -25,21 +26,103 @@ class DrainGuard {
   ThreadPool& pool_;
 };
 
-/// Rethrow the first stashed replica error of one campaign, prefixed with
-/// `context` (which grid point / campaign failed) and the replica index —
-/// a bare rethrow would leave the caller guessing which of a thousand grid
-/// tasks blew up.
-void rethrow_first_error_with_context(
-    const std::vector<std::exception_ptr>& errors, const std::string& context) {
-  for (std::size_t r = 0; r < errors.size(); ++r) {
-    if (!errors[r]) continue;
-    try {
-      std::rethrow_exception(errors[r]);
-    } catch (const std::exception& e) {
-      throw Error(context + ", replica " + std::to_string(r) + ": " +
-                  e.what());
+/// The one in-process campaign loop behind SweepRunner::run and run_batch.
+/// Every campaign's first round goes onto `pool` at once; each campaign
+/// starts its next sequential-stopping round as soon as its own tasks drain.
+/// `on_settled(c, report)` receives campaign c's reduced report in index
+/// order, as soon as campaigns [0, c] have all settled. On failure the pool
+/// drains and the first failing campaign's first failing replica is
+/// rethrown, prefixed with `context(c, campaign)`.
+void run_campaigns(
+    ThreadPool& pool, std::vector<Campaign> batch,
+    const std::function<std::string(std::size_t, const MonteCarloCampaign&)>&
+        context,
+    const std::function<void(std::size_t, MonteCarloReport)>& on_settled) {
+  // Validate every campaign up front (MonteCarloCampaign's constructor
+  // throws on bad input) so no task runs when any campaign is ill-formed.
+  // Replica caps for sequential stopping are resolved against the *initial*
+  // replica counts, before any extend() grows them; the cap bounds the total
+  // including round one.
+  const std::size_t n = batch.size();
+  std::vector<std::unique_ptr<MonteCarloCampaign>> campaigns;
+  std::vector<int> cap;
+  campaigns.reserve(n);
+  cap.reserve(n);
+  for (Campaign& c : batch) {
+    cap.push_back(sequential_stopping_cap(c.options));
+    c.options.replicas = sequential_stopping_start(c.options);
+    campaigns.push_back(std::make_unique<MonteCarloCampaign>(
+        std::move(c.scenario), std::move(c.strategies), c.options));
+  }
+
+  // Tasks write preassigned slots and each campaign's rounds are decided by
+  // its own deterministic snapshots, so neither pool scheduling nor the
+  // interleaving of campaigns can change a report. A task only counts down
+  // its campaign's round; the calling thread takes each drained campaign in
+  // turn and either grows it by another round or settles it.
+  enum class State { kRunning, kSettled, kFailed };
+  std::vector<State> state(n, State::kRunning);
+  std::vector<std::vector<std::exception_ptr>> errors(n);
+  std::vector<int> submitted(n, 0);
+  struct Rounds {
+    std::mutex mutex;
+    std::condition_variable drained_cv;
+    std::vector<int> pending;
+    std::deque<std::size_t> drained;
+  } rounds;
+  rounds.pending.assign(n, 0);
+  DrainGuard guard(pool);  // declared last: drains before the state dies
+
+  const auto submit_round = [&](std::size_t c) {
+    const int first = submitted[c];
+    submitted[c] = campaigns[c]->tasks();
+    rounds.pending[c] = submitted[c] - first;  // no task of c is in flight
+    const auto task_done = [c, &rounds] {
+      std::lock_guard<std::mutex> lock(rounds.mutex);
+      if (--rounds.pending[c] == 0) {
+        rounds.drained.push_back(c);
+        rounds.drained_cv.notify_one();
+      }
+    };
+    submit_campaign_task_range(pool, *campaigns[c], errors[c], first,
+                               submitted[c], task_done);
+  };
+  for (std::size_t c = 0; c < n; ++c) submit_round(c);
+
+  // A failed campaign stops its own rounds and every later campaign's (they
+  // settle early but are never handed over), while earlier campaigns run
+  // on: the error raised is always the first failing campaign in index
+  // order, whatever the thread count.
+  std::size_t first_failed = n;
+  std::size_t emitted = 0;
+  while (emitted < n) {
+    std::size_t c = 0;
+    {
+      std::unique_lock<std::mutex> lock(rounds.mutex);
+      rounds.drained_cv.wait(lock, [&] { return !rounds.drained.empty(); });
+      c = rounds.drained.front();
+      rounds.drained.pop_front();
     }
-    // Non-std exceptions keep propagating unwrapped.
+    const bool failed = std::any_of(errors[c].begin(), errors[c].end(),
+                                    [](const auto& e) { return e != nullptr; });
+    if (failed) first_failed = std::min(first_failed, c);
+    const int next =
+        c < first_failed ? next_sequential_round(*campaigns[c], cap[c]) : 0;
+    if (next > 0) {
+      campaigns[c]->extend(next);
+      submit_round(c);
+    } else {
+      state[c] = failed ? State::kFailed : State::kSettled;
+    }
+    // Hand over the settled grid-order prefix; a failed campaign at its
+    // head is the first failure in index order.
+    for (; emitted < n && state[emitted] != State::kRunning; ++emitted) {
+      if (state[emitted] == State::kFailed) {
+        rethrow_first_error(errors[emitted],
+                            context(emitted, *campaigns[emitted]));
+      }
+      on_settled(emitted, campaigns[emitted]->reduce());
+    }
   }
 }
 
@@ -77,8 +160,8 @@ int next_sequential_round(const MonteCarloCampaign& campaign, int cap) {
       break;
     }
   }
-  if (converged || campaign.replicas() >= cap) return 0;
-  return std::min(cap, 2 * campaign.replicas());
+  if (converged || campaign.tasks() >= cap) return 0;
+  return std::min(cap, 2 * campaign.tasks());
 }
 
 SweepRunner::SweepRunner(int threads)
@@ -95,155 +178,43 @@ SweepRunner& SweepRunner::on_point(PointCallback callback) {
 
 std::vector<MonteCarloReport> SweepRunner::run_batch(
     std::vector<Campaign> campaigns) {
-  // Validate every campaign up front (MonteCarloCampaign's constructor
-  // throws on bad input) so no task runs when any campaign is ill-formed.
-  // Replica caps for sequential stopping are resolved against the *initial*
-  // replica counts, before any extend() grows them.
-  std::vector<std::unique_ptr<MonteCarloCampaign>> running;
-  std::vector<int> cap;
-  running.reserve(campaigns.size());
-  cap.reserve(campaigns.size());
-  for (auto& campaign : campaigns) {
-    cap.push_back(sequential_stopping_cap(campaign.options));
-    // The cap bounds the total including round one (an initial count above
-    // max_replicas starts at the cap instead of overrunning it).
-    campaign.options.replicas = sequential_stopping_start(campaign.options);
-    running.push_back(std::make_unique<MonteCarloCampaign>(
-        std::move(campaign.scenario), std::move(campaign.strategies),
-        campaign.options));
-  }
-
-  // Schedule (campaign, task) work in rounds; tasks write preassigned
-  // slots, so pool scheduling cannot affect the reduced reports. Fixed-count
-  // campaigns (no target_ci_width) settle after round one; sequential ones
-  // snapshot after each round and either converge or double their replicas
-  // up to the cap. Rounds are driven by the deterministic snapshots alone,
-  // so the growth schedule — and therefore the final report — is
-  // bit-identical for any thread count.
-  std::vector<std::vector<std::exception_ptr>> errors(running.size());
-  std::vector<int> submitted(running.size(), 0);
-  std::vector<bool> settled(running.size(), false);
-  DrainGuard guard(*pool_);
-  for (;;) {
-    for (std::size_t c = 0; c < running.size(); ++c) {
-      if (settled[c] || submitted[c] >= running[c]->tasks()) continue;
-      submit_campaign_task_range(*pool_, *running[c], errors[c], submitted[c],
-                                 running[c]->tasks());
-      submitted[c] = running[c]->tasks();
-    }
-    pool_->wait_idle();
-    for (std::size_t c = 0; c < errors.size(); ++c) {
-      rethrow_first_error_with_context(
-          errors[c], "sweep batch campaign " + std::to_string(c) + " of " +
-                         std::to_string(errors.size()) + " (scenario \"" +
-                         running[c]->scenario().platform.name + "\") failed");
-    }
-
-    bool all_settled = true;
-    for (std::size_t c = 0; c < running.size(); ++c) {
-      if (settled[c]) continue;
-      const int next = next_sequential_round(*running[c], cap[c]);
-      if (next == 0) {
-        settled[c] = true;
-        continue;
-      }
-      running[c]->extend(next);
-      all_settled = false;
-    }
-    if (all_settled) break;
-  }
-
-  // Deterministic reduction in campaign order.
+  const std::size_t n = campaigns.size();
   std::vector<MonteCarloReport> reports;
-  reports.reserve(running.size());
-  for (auto& campaign : running) reports.push_back(campaign->reduce());
+  reports.reserve(n);
+  run_campaigns(
+      *pool_, std::move(campaigns),
+      [n](std::size_t c, const MonteCarloCampaign& campaign) {
+        return "sweep batch campaign " + std::to_string(c) + " of " +
+               std::to_string(n) + " (scenario \"" +
+               campaign.scenario().platform.name + "\") failed";
+      },
+      [&](std::size_t, MonteCarloReport report) {
+        reports.push_back(std::move(report));
+      });
   return reports;
 }
 
 ExperimentReport SweepRunner::run(const ExperimentSpec& spec) {
   std::vector<GridPoint> points = spec.expand();
-
-  // Sequential stopping grows each point's campaign round by round, which
-  // is incompatible with the streamed fixed-count path below — delegate to
-  // run_batch and assemble the report (and fire callbacks) in grid order
-  // once every point has converged.
-  if (spec.campaign_options().target_ci_width > 0.0) {
-    std::vector<Campaign> batch;
-    batch.reserve(points.size());
-    for (const GridPoint& point : points) {
-      batch.push_back(
-          Campaign{point.scenario, spec.strategy_set(),
-                   spec.campaign_options()});
-    }
-    std::vector<MonteCarloReport> reports = run_batch(std::move(batch));
-    ExperimentReport report;
-    report.name = spec.name();
-    report.replicas = spec.campaign_options().replicas;
-    for (const auto& axis : spec.axes()) {
-      report.axis_names.push_back(axis.name);
-    }
-    report.points.reserve(points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      if (on_point_) on_point_(points[p], reports[p]);
-      report.points.push_back(
-          PointResult{std::move(points[p]), std::move(reports[p])});
-    }
-    return report;
-  }
-
-  std::vector<std::unique_ptr<MonteCarloCampaign>> campaigns;
-  campaigns.reserve(points.size());
+  std::vector<Campaign> batch;
+  batch.reserve(points.size());
   for (const GridPoint& point : points) {
-    campaigns.push_back(std::make_unique<MonteCarloCampaign>(
-        point.scenario, spec.strategy_set(), spec.campaign_options()));
+    batch.push_back(
+        Campaign{point.scenario, spec.strategy_set(), spec.campaign_options()});
   }
-
-  // Streamed completion tracking: each task decrements its campaign's
-  // remaining-count, so the main thread can reduce grid points (and fire
-  // progress callbacks) in grid order *while later points are still
-  // running*, instead of sitting silent until the whole grid drains.
-  struct Progress {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::vector<int> remaining;
-  } progress;
-  progress.remaining.reserve(campaigns.size());
-  for (const auto& campaign : campaigns) {
-    progress.remaining.push_back(campaign->tasks());
-  }
-
-  std::vector<std::vector<std::exception_ptr>> errors(campaigns.size());
-  DrainGuard guard(*pool_);
-  for (std::size_t c = 0; c < campaigns.size(); ++c) {
-    submit_campaign_tasks(*pool_, *campaigns[c], errors[c],
-                          [c, &progress] {
-                            std::lock_guard<std::mutex> lock(progress.mutex);
-                            if (--progress.remaining[c] == 0) {
-                              progress.done.notify_all();
-                            }
-                          });
-  }
-
-  ExperimentReport report;
-  report.name = spec.name();
-  report.replicas = spec.campaign_options().replicas;
-  for (const auto& axis : spec.axes()) report.axis_names.push_back(axis.name);
+  ExperimentReport report = ExperimentReport::for_spec(spec);
   report.points.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    {
-      std::unique_lock<std::mutex> lock(progress.mutex);
-      progress.done.wait(lock, [&] { return progress.remaining[p] == 0; });
-    }
-    // DrainGuard drains before unwinding.
-    rethrow_first_error_with_context(
-        errors[p], "experiment \"" + spec.name() + "\" grid point " +
-                       std::to_string(p) + " (" + points[p].label() +
-                       ") failed");
-    MonteCarloReport point_report = campaigns[p]->reduce();
-    if (on_point_) on_point_(points[p], point_report);
-    report.points.push_back(
-        PointResult{std::move(points[p]), std::move(point_report)});
-  }
+  run_campaigns(
+      *pool_, std::move(batch),
+      [&](std::size_t p, const MonteCarloCampaign&) {
+        return "experiment \"" + spec.name() + "\" grid point " +
+               std::to_string(p) + " (" + points[p].label() + ") failed";
+      },
+      [&](std::size_t p, MonteCarloReport point_report) {
+        if (on_point_) on_point_(points[p], point_report);
+        report.points.push_back(
+            PointResult{std::move(points[p]), std::move(point_report)});
+      });
   return report;
 }
 

@@ -4,11 +4,13 @@
 //
 // SweepRunner expands an ExperimentSpec and schedules every
 // (grid point × replica) task of the whole grid onto one shared ThreadPool —
-// replicas of different grid points interleave freely, so a 7-point sweep no
-// longer serialises at point boundaries. Because each replica task writes a
-// preassigned slot (MonteCarloCampaign) and reductions fold slots in
-// (point, replica) order after the pool drains, reports are bit-identical
-// for any thread count and identical to per-point run_monte_carlo calls.
+// replicas of different grid points interleave freely, so a 7-point sweep
+// does not serialise at point boundaries. run() and run_batch() share one
+// loop: each campaign starts its next sequential-stopping round as soon as
+// its own tasks drain, and a fixed-count campaign is the one-round case.
+// Because each replica task writes a preassigned slot (MonteCarloCampaign)
+// and reductions fold slots in replica order, reports are bit-identical for
+// any thread count and identical to per-point run_monte_carlo calls.
 //
 // run_batch() is the lower-level entry for adaptive drivers whose next grid
 // is data-dependent — e.g. the Figure 3 bisection runs all not-yet-converged
@@ -27,6 +29,14 @@
 
 namespace coopcr::exp {
 
+/// One unit of run_batch work: a Monte Carlo campaign (scenario × strategy
+/// set).
+struct Campaign {
+  ScenarioConfig scenario;
+  std::vector<Strategy> strategies;
+  MonteCarloOptions options;  ///< `threads` is ignored — the pool governs
+};
+
 /// Resolved sequential-stopping replica cap for `options`:
 /// resolved_max_replicas() with antithetic pair parity kept.
 int sequential_stopping_cap(const MonteCarloOptions& options);
@@ -36,15 +46,14 @@ int sequential_stopping_cap(const MonteCarloOptions& options);
 /// replicas — round one included, not just the extend rounds.
 int sequential_stopping_start(const MonteCarloOptions& options);
 
-/// The one sequential-stopping round decision, shared by
-/// SweepRunner::run_batch and dist::DistSweepRunner so the two backends can
-/// never disagree on the growth schedule: snapshot `campaign` and return
-/// the replica count the next doubling round grows it to, or 0 when it
-/// settles — the 95% CI of every strategy's waste-ratio estimate (every
-/// *contrast* estimate when the paired contrast is active) is at most
-/// target_ci_width, or the cap is reached. Driven by the deterministic
-/// snapshot alone, so the schedule is bit-identical across thread counts,
-/// shard counts and resume histories.
+/// The one sequential-stopping round decision, shared by SweepRunner and
+/// dist::DistSweepRunner so the two backends can never disagree on the
+/// growth schedule: snapshot `campaign` and return the replica count the
+/// next doubling round grows it to, or 0 when it settles — the 95% CI of
+/// every strategy's waste-ratio estimate (every *contrast* estimate when
+/// the paired contrast is active) is at most target_ci_width, or the cap is
+/// reached. Driven by the deterministic snapshot alone, so the schedule is
+/// bit-identical across thread counts, shard counts and resume histories.
 int next_sequential_round(const MonteCarloCampaign& campaign, int cap);
 
 class SweepRunner final : public SweepExecutor {
@@ -61,8 +70,9 @@ class SweepRunner final : public SweepExecutor {
 
   std::string backend_name() const override { return "in-process"; }
 
-  /// Called after each grid point's report is reduced, in grid order
-  /// (progress lines). Cleared with nullptr.
+  /// Called after each grid point's report is reduced, in grid order, as
+  /// soon as every earlier point has settled (progress lines, also for
+  /// adaptive sweeps). Cleared with nullptr.
   SweepRunner& on_point(PointCallback callback) override;
 
   /// Expand `spec` and run the full grid. The spec's strategy set and
@@ -70,10 +80,9 @@ class SweepRunner final : public SweepExecutor {
   ExperimentReport run(const ExperimentSpec& spec) override;
 
   /// Run several campaigns concurrently on the shared pool; reports come
-  /// back in campaign order.
-  bool supports_run_batch() const override { return true; }
-  std::vector<MonteCarloReport> run_batch(
-      std::vector<Campaign> campaigns) override;
+  /// back in campaign order. A failure names the first failing campaign in
+  /// batch order.
+  std::vector<MonteCarloReport> run_batch(std::vector<Campaign> campaigns);
 
  private:
   std::unique_ptr<ThreadPool> pool_;

@@ -1,17 +1,21 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace coopcr {
 
+int ThreadPool::resolve_size(int threads) {
+  if (threads > 0) return threads;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 ThreadPool::ThreadPool(int threads) {
-  unsigned count = threads > 0 ? static_cast<unsigned>(threads)
-                               : std::thread::hardware_concurrency();
-  if (count == 0) count = 1;
-  workers_.reserve(count);
-  for (unsigned t = 0; t < count; ++t) {
+  const int count = resolve_size(threads);
+  workers_.reserve(static_cast<std::size_t>(count));
+  for (int t = 0; t < count; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }

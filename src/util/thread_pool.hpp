@@ -2,11 +2,10 @@
 //
 // Shared fixed-size worker pool for grid-level parallelism.
 //
-// The Monte Carlo harness historically spawned its own threads per campaign,
-// which serialises sweeps at the grid-point level: a 7-point bandwidth sweep
-// ran 7 thread teams one after another. A ThreadPool decouples "how much work
-// exists" from "how many workers run it", so exp::SweepRunner can schedule
-// every (grid point × replica) task of a whole experiment onto one pool.
+// A ThreadPool decouples "how much work exists" from "how many workers run
+// it": exp::SweepRunner schedules every (grid point × replica) task of a whole
+// experiment onto one pool, and run_monte_carlo runs one campaign on a local
+// pool.
 //
 // Determinism contract: the pool makes no ordering promises, so every task
 // must write into its own preassigned slot; reductions happen after
@@ -29,9 +28,12 @@ namespace coopcr {
 /// stash errors in the task's output slot instead.
 class ThreadPool {
  public:
-  /// Spawn `threads` workers; 0 selects std::thread::hardware_concurrency()
-  /// (minimum 1).
+  /// Spawn resolve_size(threads) workers.
   explicit ThreadPool(int threads = 0);
+
+  /// `threads` when positive, else std::thread::hardware_concurrency()
+  /// (minimum 1).
+  static int resolve_size(int threads);
 
   /// Drains the queue (pending tasks still run), then joins the workers.
   ~ThreadPool();

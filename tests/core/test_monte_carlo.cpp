@@ -1,13 +1,18 @@
 // Tests for the Monte Carlo harness: statistics plumbing, thread-count
-// independence, env-var options, report lookups.
+// independence, env-var options, report lookups, and the one replica
+// pipeline (prepare_replica + strategy_metrics) behind both the campaign and
+// run_replica.
 
 #include "core/monte_carlo.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
+#include "dist/wire.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 #include "workload/apex.hpp"
@@ -245,7 +250,7 @@ TEST(MonteCarlo, SnapshotExtendLoopIsBitIdenticalToFixedCount) {
   ASSERT_EQ(snap.outcomes[0].waste_ratio.size(), 4u);
 
   campaign.extend(8);
-  EXPECT_EQ(campaign.replicas(), 8);
+  EXPECT_EQ(campaign.tasks(), 8);
   for (int t = 4; t < campaign.tasks(); ++t) campaign.run_replica_task(t);
   const MonteCarloReport grown = campaign.reduce();
 
@@ -328,6 +333,85 @@ TEST(MonteCarlo, DifferentSeedsDifferentSamples) {
   const auto b = run_monte_carlo(scenario, {lw}, options);
   EXPECT_NE(a.outcomes[0].waste_ratio.samples()[0],
             b.outcomes[0].waste_ratio.samples()[0]);
+}
+
+/// Replica `r` of `scenario` under `strategies`, assembled from the shared
+/// pipeline's public pieces the way a campaign task assembles it.
+ReplicaSlot pipeline_slot(const ScenarioConfig& scenario,
+                          const std::vector<Strategy>& strategies, int r,
+                          bool antithetic) {
+  SimWorkspace workspace;
+  ReplicaInputs in = prepare_replica(
+      scenario, static_cast<std::uint64_t>(r), antithetic, workspace);
+  for (const Strategy& strategy : strategies) {
+    SimulationConfig cfg = scenario.simulation;
+    cfg.strategy = strategy;
+    in.slot.per_strategy.push_back(strategy_metrics(
+        simulate(cfg, in.jobs, in.failures, workspace),
+        in.slot.baseline_useful, in.slot.baseline_useful_energy));
+  }
+  return in.slot;
+}
+
+std::vector<std::uint8_t> slot_bytes(const ReplicaSlot& slot) {
+  dist::Encoder enc;
+  dist::encode_slot(enc, slot);
+  return enc.bytes();
+}
+
+TEST(MonteCarlo, SharedPipelineIsTheCampaignsReplica) {
+  const ScenarioConfig scenario = ScenarioBuilder::cielo_apex(7).build();
+  const Strategy lw = least_waste();
+
+  // The reflected odd replica of an antithetic campaign: the slot the shared
+  // pipeline builds is the campaign's slot, down to its wire bytes.
+  MonteCarloOptions anti;
+  anti.replicas = 2;
+  anti.antithetic = true;
+  MonteCarloCampaign paired(scenario, {lw}, anti);
+  paired.run_replica_task(1);
+  EXPECT_EQ(slot_bytes(pipeline_slot(scenario, {lw}, 1, true)),
+            slot_bytes(paired.slot(1)));
+
+  // run_replica is replica r of a plain campaign, bit for bit.
+  MonteCarloOptions plain;
+  plain.replicas = 3;
+  MonteCarloCampaign campaign(scenario, {lw}, plain);
+  for (int r = 0; r < 3; ++r) {
+    SCOPED_TRACE(r);
+    campaign.run_replica_task(r);
+    const ReplicaRun run = run_replica(scenario, lw, r);
+    const ReplicaSlot& slot = campaign.slot(r);
+    EXPECT_EQ(run.waste_ratio, slot.per_strategy[0].waste_ratio);
+    EXPECT_EQ(run.energy_waste_ratio, slot.per_strategy[0].energy_waste_ratio);
+    EXPECT_EQ(run.baseline_useful, slot.baseline_useful);
+  }
+
+  // ...and so is not antithetic replica 1, which mirrors replica 0's draw
+  // instead of drawing its own stream.
+  EXPECT_DOUBLE_EQ(run_replica(scenario, lw, 1).waste_ratio,
+                   0.18715367449215989);
+  EXPECT_DOUBLE_EQ(paired.slot(1).per_strategy[0].waste_ratio,
+                   0.17670126580941542);
+}
+
+TEST(MonteCarlo, RunReplicaRejectsAZeroUsefulBaseline) {
+  // The measurement segment lies beyond the drained workload, so the
+  // baseline does no useful work. run_replica used to divide by it and
+  // return NaN waste; it now shares the campaign's check.
+  const ScenarioConfig scenario = ScenarioBuilder::cielo_apex(/*seed=*/99)
+                                      .min_makespan(units::days(2))
+                                      .segment(units::days(40), units::days(50))
+                                      .build();
+  try {
+    run_replica(scenario, least_waste(), 0);
+    FAIL() << "expected the empty baseline to be refused";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("baseline run produced no useful work"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

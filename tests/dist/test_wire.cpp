@@ -1,5 +1,6 @@
 // Wire protocol invariants: bit-exact slot round trips, incremental frame
-// parsing under arbitrary chunking, and corrupt-stream rejection.
+// parsing under arbitrary chunking, corrupt-stream rejection, and a mutation
+// fuzzer over real encoded frames.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
+#include <random>
 
 #include "dist/wire.hpp"
 #include "util/error.hpp"
@@ -269,4 +272,164 @@ TEST(WireMalformed, ValidateHelloRefusesVersionSkewAndWrongGrid) {
 }
 
 }  // namespace
+// --- fuzzing ---------------------------------------------------------------
+
+namespace {
+
+void append_frame(std::vector<std::uint8_t>& stream, MsgType type,
+                  const std::vector<std::uint8_t>& payload) {
+  Encoder framing;
+  framing.u32(static_cast<std::uint32_t>(payload.size()));
+  framing.u16(static_cast<std::uint16_t>(type));
+  stream.insert(stream.end(), framing.bytes().begin(), framing.bytes().end());
+  stream.insert(stream.end(), payload.begin(), payload.end());
+}
+
+/// One real frame of every message kind, back to back, as the encoders and
+/// the frame header write them.
+std::vector<std::uint8_t> sample_stream() {
+  std::vector<std::uint8_t> stream;
+  HelloMsg hello;
+  hello.spec_digest = 0x0123456789ABCDEFull;
+  append_frame(stream, MsgType::kHello, encode_hello(hello));
+  append_frame(stream, MsgType::kUnit, encode_unit(UnitMsg{2, 7}));
+  ResultMsg result;
+  result.point = 2;
+  result.replica = 7;
+  result.slot = sample_slot();
+  append_frame(stream, MsgType::kResult, encode_result(result));
+  append_frame(stream, MsgType::kShutdown, {});
+  return stream;
+}
+
+/// Decode one popped frame by its type. A payload that decodes must
+/// re-encode to the same bytes (the encoding is canonical). Returns true
+/// when a typed message decoded.
+bool decode_frame(const Frame& frame) {
+  switch (frame.type) {
+    case MsgType::kHello:
+      EXPECT_EQ(encode_hello(decode_hello(frame.payload)), frame.payload);
+      return true;
+    case MsgType::kUnit:
+      EXPECT_EQ(encode_unit(decode_unit(frame.payload)), frame.payload);
+      return true;
+    case MsgType::kResult:
+      EXPECT_EQ(encode_result(decode_result(frame.payload)), frame.payload);
+      return true;
+    default:
+      return false;  // shutdown carries nothing; unknown types are dropped
+  }
+}
+
+struct WireTally {
+  int decoded = 0;  ///< typed messages that decoded
+  int refused = 0;  ///< frames or streams refused with coopcr::Error
+};
+
+/// Mutate the sample stream `inputs` times and feed each result through
+/// FrameBuffer in random chunks, decoding every frame that pops. Every
+/// input must parse or throw coopcr::Error — never another exception.
+WireTally fuzz_wire(std::uint64_t seed, int inputs) {
+  std::mt19937_64 rng(seed);
+  // Every draw is its own statement: argument evaluation order is
+  // unspecified, and a pinned seed must mean the same inputs everywhere.
+  const auto below = [&rng](std::size_t n) { return n == 0 ? 0 : rng() % n; };
+  const std::vector<std::uint8_t> corpus = sample_stream();
+  const std::uint32_t extremes[] = {0u,    1u,    4096u,
+                                    4097u, kMaxFramePayload,
+                                    kMaxFramePayload + 1, 0xFFFFFFFFu};
+  WireTally tally;
+  for (int i = 0; i < inputs; ++i) {
+    std::vector<std::uint8_t> bytes = corpus;
+    for (std::size_t m = 1 + below(3); m > 0; --m) {
+      const std::size_t at = below(bytes.size() + 1);
+      switch (below(6)) {
+        case 0:  // flip one bit of one byte
+          if (at < bytes.size()) {
+            bytes[at] ^= static_cast<std::uint8_t>(1u << below(8));
+          }
+          break;
+        case 1: {  // insert a byte
+          const auto byte = static_cast<std::uint8_t>(below(256));
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), byte);
+          break;
+        }
+        case 2: {  // delete a run of bytes
+          const std::size_t run = std::min(bytes.size() - at, 1 + below(8));
+          bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                      bytes.begin() + static_cast<std::ptrdiff_t>(at + run));
+          break;
+        }
+        case 3:  // truncate
+          bytes.resize(at);
+          break;
+        case 4: {  // splice: a prefix of this input onto a corpus suffix
+          const std::size_t from = below(corpus.size());
+          bytes.resize(at);
+          bytes.insert(bytes.end(),
+                       corpus.begin() + static_cast<std::ptrdiff_t>(from),
+                       corpus.end());
+          break;
+        }
+        default: {  // overwrite a u32 (length, count, index) with an extreme
+          if (at + 4 > bytes.size()) break;
+          const std::uint32_t v = extremes[below(std::size(extremes))];
+          for (int b = 0; b < 4; ++b) {
+            bytes[at + static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(v >> (8 * b));
+          }
+        }
+      }
+    }
+    FrameBuffer buffer;
+    try {
+      for (std::size_t pos = 0; pos < bytes.size();) {
+        const std::size_t chunk = std::min(bytes.size() - pos, 1 + below(64));
+        buffer.feed(bytes.data() + pos, chunk);
+        pos += chunk;
+        while (const std::optional<Frame> frame = buffer.next()) {
+          try {
+            tally.decoded += decode_frame(*frame) ? 1 : 0;
+          } catch (const Error&) {
+            ++tally.refused;
+          }
+        }
+      }
+    } catch (const Error&) {
+      ++tally.refused;  // an oversized length prefix poisons the stream
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "input " << i << " escaped as a non-coopcr exception: "
+                    << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "input " << i << " escaped as a non-exception";
+    }
+  }
+  return tally;
+}
+
+}  // namespace
+
+TEST(WireFuzz, PinnedSeedsParseOrRefuse) {
+  for (const std::uint64_t seed : {0x1ull, 0x31AEull, 0xF4A3Eull}) {
+    SCOPED_TRACE(seed);
+    const WireTally tally = fuzz_wire(seed, 4000);
+    // Both outcomes are exercised, not just refusals (about 8.5k messages
+    // decode and 1k frames or streams are refused per seed).
+    EXPECT_GT(tally.decoded, 6000);
+    EXPECT_GT(tally.refused, 600);
+  }
+}
+
+TEST(WireFuzz, FreshSeedParsesOrRefuses) {
+  // A new seed per run widens coverage over time; it is echoed so a failure
+  // can be pinned in the test above.
+  const std::uint64_t seed =
+      (static_cast<std::uint64_t>(std::random_device{}()) << 32) ^
+      std::random_device{}();
+  std::cout << "wire fuzz fresh seed: 0x" << std::hex << seed << std::dec
+            << std::endl;
+  SCOPED_TRACE(seed);
+  fuzz_wire(seed, 4000);
+}
+
 }  // namespace coopcr::dist

@@ -1,9 +1,7 @@
 // exp::SweepExecutor: the backend-neutral interface both engines implement.
 // Backend selection goes through ExecutorOptions/make_sweep_executor (never
 // a concrete type), both backends produce byte-identical reports for the
-// same spec, point callbacks flow through the interface, and the run_batch
-// capability flag is honest — the dist backend refuses with an error naming
-// itself.
+// same spec, and point callbacks flow through the interface.
 
 #include <gtest/gtest.h>
 
@@ -83,34 +81,6 @@ TEST(SweepExecutor, PointCallbacksFlowThroughTheInterface) {
       });
   executor->run(tiny_spec());
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1}));
-}
-
-TEST(SweepExecutor, RunBatchCapabilityIsHonest) {
-  const std::unique_ptr<exp::SweepExecutor> in_process =
-      exp::make_sweep_executor();
-  EXPECT_TRUE(in_process->supports_run_batch());
-
-  const exp::ExperimentSpec spec = tiny_spec();
-  exp::Campaign campaign;
-  campaign.scenario = spec.expand().front().scenario;
-  campaign.strategies = spec.strategy_set();
-  campaign.options = spec.campaign_options();
-  const std::vector<MonteCarloReport> reports =
-      in_process->run_batch({campaign, campaign});
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].outcomes.size(), 1u);
-
-  exp::ExecutorOptions dist;
-  dist.backend = exp::ExecutorBackend::kDist;
-  const std::unique_ptr<exp::SweepExecutor> dist_executor =
-      exp::make_sweep_executor(dist);
-  EXPECT_FALSE(dist_executor->supports_run_batch());
-  try {
-    dist_executor->run_batch({campaign});
-    FAIL() << "expected run_batch to refuse";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("dist"), std::string::npos);
-  }
 }
 
 }  // namespace

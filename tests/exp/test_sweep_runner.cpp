@@ -3,8 +3,8 @@
 //    over a 3x2 grid, compared down to the raw per-replica samples and the
 //    emitted CSV/JSON bytes);
 //  * the grid-parallel path is identical to per-point run_monte_carlo calls;
-//  * the shared-pool run_monte_carlo overload matches the internal-threads
-//    overload;
+//  * adaptive (sequential-stopping) sweeps are thread-invariant and stream
+//    their points in grid order;
 //  * grid expansion order, point callbacks and error propagation.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coopcr.hpp"
@@ -100,22 +101,6 @@ TEST(SweepRunner, MatchesPerPointRunMonteCarlo) {
       }
     }
   }
-}
-
-TEST(SweepRunner, PooledRunMonteCarloMatchesInternalThreads) {
-  const ScenarioConfig scenario = tiny_base().build();
-  MonteCarloOptions options;
-  options.replicas = 4;
-  options.threads = 2;
-  const MonteCarloReport internal =
-      run_monte_carlo(scenario, {least_waste()}, options);
-  ThreadPool pool(3);
-  const MonteCarloReport pooled =
-      run_monte_carlo(scenario, {least_waste()}, options, pool);
-  const auto& sa = internal.outcomes[0].waste_ratio.samples();
-  const auto& sb = pooled.outcomes[0].waste_ratio.samples();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]);
 }
 
 TEST(SweepRunner, GridExpandsRowMajorFirstAxisSlowest) {
@@ -268,6 +253,46 @@ TEST(SweepRunner, SequentialStoppingMatchesTheFixedCountCampaign) {
   const auto& rs = reference.outcomes[0].waste_ratio.samples();
   ASSERT_EQ(ss.size(), rs.size());
   for (std::size_t i = 0; i < ss.size(); ++i) EXPECT_EQ(ss[i], rs[i]);
+}
+
+TEST(SweepRunner, AdaptiveSweepsAreThreadInvariantAndStreamInGridOrder) {
+  // Three points whose CIs settle after different numbers of doubling
+  // rounds: each campaign grows on its own as soon as its round drains, so
+  // on four threads a later point can settle before an earlier one. The
+  // artifacts must still match one thread byte for byte, and on_point must
+  // fire in grid order with each point's final replica count.
+  exp::ExperimentSpec spec(tiny_base(), "adaptive_grid");
+  MonteCarloOptions options;
+  options.replicas = 2;
+  options.target_ci_width = 0.03;
+  options.max_replicas = 32;
+  spec.node_mtbf_axis({1, 4, 16}).strategies({least_waste()}).options(options);
+
+  const auto run = [&](int threads) {
+    exp::SweepRunner runner(threads);
+    std::vector<std::pair<std::size_t, int>> seen;
+    runner.on_point(
+        [&](const exp::GridPoint& point, const MonteCarloReport& r) {
+          seen.emplace_back(point.index, r.replicas);
+        });
+    exp::ExperimentReport report = runner.run(spec);
+    EXPECT_EQ(seen.size(), report.points.size());
+    for (std::size_t p = 0; p < seen.size(); ++p) {
+      EXPECT_EQ(seen[p].first, p);
+      EXPECT_EQ(seen[p].second, report.points[p].report.replicas);
+    }
+    return report;
+  };
+  const exp::ExperimentReport serial = run(1);
+  const exp::ExperimentReport parallel = run(4);
+  // The points stop at 32, 2 and 8 replicas: three different round counts.
+  ASSERT_EQ(serial.points.size(), 3u);
+  const int r0 = serial.points[0].report.replicas;
+  const int r1 = serial.points[1].report.replicas;
+  const int r2 = serial.points[2].report.replicas;
+  EXPECT_TRUE(r0 != r1 && r1 != r2 && r0 != r2) << r0 << " " << r1 << " " << r2;
+  EXPECT_EQ(csv_bytes(serial), csv_bytes(parallel));
+  EXPECT_EQ(json_bytes(serial), json_bytes(parallel));
 }
 
 TEST(SweepRunner, MaxReplicasCapsTheTotalIncludingRoundOne) {
