@@ -77,10 +77,6 @@ void usage(std::ostream& os) {
         "(COOPCR_MAX_REPLICAS)\n"
         "  --contrast NAME    paired strategy-contrast estimator vs reference "
         "strategy NAME (COOPCR_CONTRAST)\n"
-        "  --strata-bins N    post-stratify estimates on N quantile bins of "
-        "a workload feature (COOPCR_STRATA_BINS; 0 = off)\n"
-        "  --strata-feature F stratification feature: work_total | work_jobs "
-        "| work_max_share (COOPCR_STRATA_FEATURE)\n"
         "  --respawn N        budget for respawning dead workers "
         "(COOPCR_RESPAWN; default 0)\n"
         "  --heartbeat-ms N   kill workers silent past N ms with a unit in "
@@ -180,13 +176,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--contrast") {
         COOPCR_CHECK(next, "--contrast needs a value");
         mc.contrast_reference = next;
-        ++i;
-      } else if (arg == "--strata-bins") {
-        mc.strata_bins = int_arg(arg, next);
-        ++i;
-      } else if (arg == "--strata-feature") {
-        COOPCR_CHECK(next, "--strata-feature needs a value");
-        mc.strata_feature = next;
         ++i;
       } else if (arg == "--respawn") {
         max_respawns = int_arg(arg, next);
@@ -294,12 +283,6 @@ int main(int argc, char** argv) {
           options.worker_command.push_back("--contrast");
           options.worker_command.push_back(mc.contrast_reference);
         }
-        if (mc.strata_bins > 0) {
-          options.worker_command.push_back("--strata-bins");
-          options.worker_command.push_back(std::to_string(mc.strata_bins));
-        }
-        options.worker_command.push_back("--strata-feature");
-        options.worker_command.push_back(mc.strata_feature);
       }
     }
     std::unique_ptr<exp::SweepExecutor> executor =

@@ -28,11 +28,6 @@ MonteCarloOptions MonteCarloOptions::from_env(int default_replicas,
   if (const auto contrast = env::string_knob("COOPCR_CONTRAST")) {
     options.contrast_reference = *contrast;
   }
-  options.strata_bins = env::int_knob("COOPCR_STRATA_BINS", 0,
-                                      /*min_value=*/0);
-  if (const auto feature = env::string_knob("COOPCR_STRATA_FEATURE")) {
-    options.strata_feature = *feature;
-  }
   return options;
 }
 
@@ -70,13 +65,6 @@ MonteCarloCampaign::MonteCarloCampaign(ScenarioConfig scenario,
                      options_.contrast_reference +
                      "\" is not in the campaign's strategy set");
   }
-  COOPCR_CHECK(options_.strata_feature == "work_total" ||
-                   options_.strata_feature == "work_jobs" ||
-                   options_.strata_feature == "work_max_share",
-               "--strata-feature/COOPCR_STRATA_FEATURE: unknown "
-               "stratification feature \"" +
-                   options_.strata_feature +
-                   "\" — expected work_total, work_jobs or work_max_share");
   outputs_.resize(static_cast<std::size_t>(tasks()));
   if (options_.control_variate) {
     // Closed-form first-order waste prediction (Theorem 1): split the bound
@@ -131,17 +119,6 @@ ReplicaInputs prepare_replica(const ScenarioConfig& scenario,
   in.slot.baseline_useful_energy = baseline.energy.useful();
   COOPCR_CHECK(in.slot.baseline_useful > 0.0,
                "baseline run produced no useful work — check the workload");
-
-  // Realised workload summaries for post-stratification. Recorded
-  // unconditionally: one compose() pass per replica is noise next to the
-  // simulations, and always-on features keep the slot layout (and so the
-  // wire/journal formats) independent of the estimator options.
-  const WorkloadComposition comp = generator.compose(in.jobs);
-  in.slot.work_total = comp.total_node_seconds;
-  in.slot.work_jobs = static_cast<double>(in.jobs.size());
-  for (const double share : comp.shares) {
-    in.slot.work_max_share = std::max(in.slot.work_max_share, share);
-  }
   return in;
 }
 
@@ -241,18 +218,6 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
     vr_samples.resize(strategies_.size());
     if (options_.control_variate) vr_predictors.resize(strategies_.size());
   }
-  // One shared stratification-feature stream (per sample, same order) — the
-  // feature is a property of the replica draw, not the strategy.
-  const bool stratify = options_.strata_bins > 1;
-  std::vector<double> strata_features;
-  auto slot_feature = [&](const ReplicaSlot& slot) {
-    if (options_.strata_feature == "work_jobs") return slot.work_jobs;
-    if (options_.strata_feature == "work_max_share") {
-      return slot.work_max_share;
-    }
-    return slot.work_total;
-  };
-
   // Deterministic reduction in replica order.
   for (int t = 0; t < tasks(); ++t) {
     ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
@@ -260,7 +225,6 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
                                " never ran — reduce() before completion");
     report.baseline_useful.add(out.slot.baseline_useful);
     report.baseline_useful_energy.add(out.slot.baseline_useful_energy);
-    if (stratify) strata_features.push_back(slot_feature(out.slot));
     for (std::size_t s = 0; s < strategies_.size(); ++s) {
       StrategyOutcome& outcome = report.outcomes[s];
       const ReplicaStrategyMetrics& m = out.slot.per_strategy[s];
@@ -290,7 +254,7 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
       outcome.vr.estimate = estimate_mean(
           vr_samples[s], options_.antithetic,
           options_.control_variate ? vr_predictors[s] : std::vector<double>{},
-          cv_predictor_mean_, strata_features, options_.strata_bins);
+          cv_predictor_mean_);
     }
   }
   if (report.contrast_enabled) {
@@ -301,8 +265,7 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
       StrategyOutcome& outcome = report.outcomes[s];
       outcome.contrast.enabled = true;
       outcome.contrast.estimate =
-          estimate_contrast(vr_samples[s], reference, options_.antithetic,
-                            strata_features, options_.strata_bins);
+          estimate_contrast(vr_samples[s], reference, options_.antithetic);
     }
   }
   return report;

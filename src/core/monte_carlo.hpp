@@ -71,19 +71,10 @@ struct MonteCarloOptions {
   /// estimate_contrast) per non-reference strategy. The campaign constructor
   /// throws when no strategy has this name.
   std::string contrast_reference;
-  /// > 1 post-stratifies the waste-ratio means and contrasts on quantile
-  /// bins of a realised per-replica workload feature (recorded in every
-  /// ReplicaSlot) — the between-bin variance leaves the CI.
-  int strata_bins = 0;
-  /// Which recorded workload feature strata_bins bins on: "work_total"
-  /// (total submitted node-seconds, the default), "work_jobs" (job count)
-  /// or "work_max_share" (largest class share).
-  std::string strata_feature = "work_total";
 
   /// True when any mean-estimator upgrade is on (vr_* columns are emitted).
   bool vr_active() const {
-    return antithetic || control_variate || target_ci_width > 0.0 ||
-           strata_bins > 1;
+    return antithetic || control_variate || target_ci_width > 0.0;
   }
 
   /// True when the paired strategy-contrast estimator is on (contrast_*
@@ -97,10 +88,9 @@ struct MonteCarloOptions {
 
   /// Read COOPCR_REPLICAS / COOPCR_THREADS — plus the variance-reduction
   /// knobs COOPCR_ANTITHETIC, COOPCR_CONTROL_VARIATE, COOPCR_TARGET_CI,
-  /// COOPCR_MAX_REPLICAS, COOPCR_CONTRAST, COOPCR_STRATA_BINS and
-  /// COOPCR_STRATA_FEATURE — from the environment, falling back to the
-  /// provided defaults when unset or empty. Used by coopcr_sweep,
-  /// fig3_prospective and the examples.
+  /// COOPCR_MAX_REPLICAS and COOPCR_CONTRAST — from the environment, falling
+  /// back to the provided defaults when unset or empty. Used by
+  /// coopcr_sweep, fig3_prospective and the examples.
   /// Throws coopcr::Error on malformed values (non-numeric, trailing
   /// garbage, out of range): COOPCR_REPLICAS must be >= 1 and COOPCR_THREADS
   /// >= 0 (0 keeps the hardware-concurrency default).
@@ -155,9 +145,8 @@ struct MonteCarloReport {
   SampleSet baseline_useful_energy;       ///< joules twin of the denominator
   int replicas = 0;
   /// True when any variance-reduction option was active (antithetic pairing,
-  /// control variates, sequential stopping or post-stratification) — gates
-  /// the vr_* report columns so VR-off output stays byte-identical to
-  /// earlier releases.
+  /// control variates or sequential stopping) — gates the vr_* report
+  /// columns so VR-off output stays byte-identical to earlier releases.
   bool vr_enabled = false;
   /// True when the paired strategy-contrast estimator was active — gates the
   /// contrast_* report columns the same way.
@@ -188,21 +177,18 @@ struct ReplicaStrategyMetrics {
 };
 
 /// Everything one replica contributes to the reduced report: the baseline
-/// denominators, one metric tuple per strategy (in strategy order), the
-/// control-variate predictor and the realised workload features. An
-/// antithetic partner is an ordinary replica with its own slot. The dist
-/// wire protocol and campaign journal serialise all of it (slot layout v4),
-/// so every campaign keeps the bit-exact process/resume invariance.
+/// denominators, one metric tuple per strategy (in strategy order) and the
+/// control-variate predictor. An antithetic partner is an ordinary replica
+/// with its own slot. The dist wire protocol and campaign journal serialise
+/// those values (slot layout v5), so every campaign keeps the bit-exact
+/// process/resume invariance.
 struct ReplicaSlot {
   double baseline_useful = 0.0;
   double baseline_useful_energy = 0.0;
   std::vector<ReplicaStrategyMetrics> per_strategy;
   /// Closed-form waste prediction at the replica's failure count.
   double cv_predictor = 0.0;
-  /// Realised workload summaries of the replica's job list — always
-  /// recorded, they cost one compose() pass: total submitted node-seconds,
-  /// job count, and the largest class share. Post-stratification
-  /// (MonteCarloOptions::strata_bins) bins on one of them at reduce time.
+  /// Unused and never serialised; kept only because coopbench assigns them.
   double work_total = 0.0;
   double work_jobs = 0.0;
   double work_max_share = 0.0;
@@ -345,9 +331,8 @@ MonteCarloReport run_monte_carlo(const ScenarioConfig& scenario,
                                  const MonteCarloOptions& options);
 
 /// One replica's drawn initial conditions and its baseline run. `slot`
-/// holds the baseline denominators and the realised workload features;
-/// its per-strategy tuples and control-variate predictor are left for the
-/// caller.
+/// holds the baseline denominators; its per-strategy tuples and
+/// control-variate predictor are left for the caller.
 struct ReplicaInputs {
   std::vector<Job> jobs;
   std::vector<Failure> failures;

@@ -1,8 +1,6 @@
 #include "core/variance_reduction.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/error.hpp"
 
@@ -36,55 +34,16 @@ std::vector<double> pair_means(const std::vector<double>& xs) {
   return out;
 }
 
-/// Post-stratified variance of the mean of `units`: split into `bins`
-/// quantile bins of `features` (ties and bin sizes resolved deterministically
-/// — sort by (feature, index), first bins take the extra units) and keep
-/// only the within-bin spread: Var(mean) = sum_b (n_b/m)^2 * s_b^2 / n_b.
-/// Returns the unstratified variance of the mean when the binning is
-/// degenerate (bins < 2, or any bin with fewer than 2 units) so a too-fine
-/// binning never fabricates a zero-width CI.
-double stratified_mean_variance(const std::vector<double>& units,
-                                const std::vector<double>& features,
-                                int bins, double fallback) {
-  const std::size_t m = units.size();
-  if (bins < 2 || m < 2 * static_cast<std::size_t>(bins)) return fallback;
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return features[a] < features[b];
-                   });
-  const std::size_t base = m / static_cast<std::size_t>(bins);
-  const std::size_t extra = m % static_cast<std::size_t>(bins);
-  double var = 0.0;
-  std::size_t pos = 0;
-  for (int b = 0; b < bins; ++b) {
-    const std::size_t n_b =
-        base + (static_cast<std::size_t>(b) < extra ? 1 : 0);
-    if (n_b < 2) return fallback;
-    std::vector<double> bin;
-    bin.reserve(n_b);
-    for (std::size_t i = 0; i < n_b; ++i) bin.push_back(units[order[pos + i]]);
-    pos += n_b;
-    const double w = static_cast<double>(n_b) / static_cast<double>(m);
-    var += w * w * variance_of(bin, mean_of(bin)) / static_cast<double>(n_b);
-  }
-  return var;
-}
-
 }  // namespace
 
 VrEstimate estimate_mean(const std::vector<double>& samples, bool paired,
                          const std::vector<double>& predictors,
-                         double predictor_mean,
-                         const std::vector<double>& strata, int strata_bins) {
+                         double predictor_mean) {
   COOPCR_CHECK(!samples.empty(), "estimate_mean needs at least one sample");
   COOPCR_CHECK(!paired || samples.size() % 2 == 0,
                "paired estimation needs an even sample count");
   COOPCR_CHECK(predictors.empty() || predictors.size() == samples.size(),
                "control-variate predictors must parallel the samples");
-  COOPCR_CHECK(strata.empty() || strata.size() == samples.size(),
-               "stratification features must parallel the samples");
 
   VrEstimate est;
   est.simulations = samples.size();
@@ -98,13 +57,10 @@ VrEstimate estimate_mean(const std::vector<double>& samples, bool paired,
       raw_var / static_cast<double>(samples.size());
 
   // Reduce to estimation units: pair means when paired, raw samples
-  // otherwise. The control variate and stratification features average the
-  // same way.
+  // otherwise. The control-variate predictors average the same way.
   std::vector<double> units = paired ? pair_means(samples) : samples;
   std::vector<double> unit_predictors =
       paired && !predictors.empty() ? pair_means(predictors) : predictors;
-  std::vector<double> unit_strata =
-      paired && !strata.empty() ? pair_means(strata) : strata;
   const std::size_t m = units.size();
   const double unit_mean = mean_of(units);
 
@@ -134,14 +90,10 @@ VrEstimate estimate_mean(const std::vector<double>& samples, bool paired,
   }
   const std::vector<double>& final_units =
       adjusted.empty() ? units : adjusted;
-  double est_var = variance_of(final_units, est_mean);
+  const double est_var = variance_of(final_units, est_mean);
 
   est.mean = est_mean;
-  double est_mean_var = m > 0 ? est_var / static_cast<double>(m) : 0.0;
-  if (!unit_strata.empty()) {
-    est_mean_var = stratified_mean_variance(final_units, unit_strata,
-                                            strata_bins, est_mean_var);
-  }
+  const double est_mean_var = m > 0 ? est_var / static_cast<double>(m) : 0.0;
   est.std_error = std::sqrt(est_mean_var);
   est.ci_width = 2.0 * kZ95 * est.std_error;
   est.vr_factor = (est_mean_var > 0.0 && plain_est_var > 0.0)
@@ -153,15 +105,12 @@ VrEstimate estimate_mean(const std::vector<double>& samples, bool paired,
 
 VrEstimate estimate_contrast(const std::vector<double>& samples,
                              const std::vector<double>& reference,
-                             bool paired, const std::vector<double>& strata,
-                             int strata_bins) {
+                             bool paired) {
   COOPCR_CHECK(!samples.empty(), "estimate_contrast needs at least one sample");
   COOPCR_CHECK(reference.size() == samples.size(),
                "contrast reference samples must parallel the samples");
   COOPCR_CHECK(!paired || samples.size() % 2 == 0,
                "paired estimation needs an even sample count");
-  COOPCR_CHECK(strata.empty() || strata.size() == samples.size(),
-               "stratification features must parallel the samples");
 
   // Per-replica paired differences — the common-random-numbers estimator.
   std::vector<double> diffs;
@@ -169,8 +118,7 @@ VrEstimate estimate_contrast(const std::vector<double>& samples,
   for (std::size_t i = 0; i < samples.size(); ++i) {
     diffs.push_back(samples[i] - reference[i]);
   }
-  VrEstimate est =
-      estimate_mean(diffs, paired, {}, 0.0, strata, strata_bins);
+  VrEstimate est = estimate_mean(diffs, paired, {}, 0.0);
 
   // Credit the pairing against the honest alternative: the *unpaired*
   // two-sample difference-of-means estimator over the same budget,

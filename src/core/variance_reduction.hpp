@@ -19,7 +19,7 @@
 //    exp::SweepRunner in rounds until the 95% CI of each estimate is narrow
 //    enough.
 //
-// The second-generation upgrades ("Estimator upgrades, round two") target
+// The second-generation upgrade ("Estimator upgrades, round two") targets
 // the variance the failure-side tricks cannot touch — on full-APEX-mix rows
 // ~85-90% of the waste variance is workload–schedule interaction common to
 // every strategy of a replica:
@@ -28,16 +28,9 @@
 //    workload and failure trace (common random numbers), so the paired
 //    difference E[waste_A - waste_B] cancels the shared component exactly;
 //    estimate_contrast reports its vr_factor against the *unpaired*
-//    two-sample estimator over the same simulations;
-//  * post-stratification — replicas are binned by quantiles of a realised
-//    workload feature (total submitted work, job count, max class share)
-//    and the estimator's variance keeps only the within-bin spread, removing
-//    the between-bin (workload-explained) component from the CI. The point
-//    estimate is unchanged — with empirical quantile bins the stratum
-//    weights are the realised proportions, so the post-stratified mean *is*
-//    the sample mean; only the uncertainty shrinks.
+//    two-sample estimator over the same simulations.
 //
-// estimate_mean is the one numeric kernel all three share. It is plain
+// estimate_mean is the one numeric kernel they all share. It is plain
 // deterministic arithmetic over the already-reduced samples, so adding it
 // never perturbs the simulation stream: with variance reduction disabled,
 // reports stay byte-identical to earlier releases.
@@ -72,28 +65,16 @@ struct VrEstimate {
 /// known expectation `predictor_mean` — selects the control-variate
 /// adjustment; the coefficient is the least-squares fit over the (pair-mean)
 /// units and degenerates to 0 when the predictor is constant.
-///
-/// `strata` — empty, or one workload-feature value per sample — together
-/// with `strata_bins > 1` selects post-stratification: the estimation units
-/// are split into `strata_bins` quantile bins of the (pair-averaged)
-/// feature and the estimator's variance keeps only the within-bin spread.
-/// The mean is unchanged (empirical bins carry their realised weights).
-/// When any bin would hold fewer than 2 units the stratification quietly
-/// degenerates to the unstratified variance — a too-fine binning must never
-/// fabricate a zero-width CI.
 VrEstimate estimate_mean(const std::vector<double>& samples, bool paired,
                          const std::vector<double>& predictors,
-                         double predictor_mean,
-                         const std::vector<double>& strata = {},
-                         int strata_bins = 0);
+                         double predictor_mean);
 
 /// Estimate the paired strategy contrast E[samples - reference] from
 /// per-replica differences. `samples` and `reference` are the two
 /// strategies' per-simulation values over the *same* replica draws (common
-/// random numbers), in the same replica order; `paired` and
-/// `strata`/`strata_bins` compose exactly as in estimate_mean (the
-/// differences are paired into antithetic units and post-stratified on the
-/// same workload features). Control variates do not apply: the closed-form
+/// random numbers), in the same replica order; `paired` composes exactly as
+/// in estimate_mean (the differences are paired into antithetic units).
+/// Control variates do not apply: the closed-form
 /// predictor depends only on the replica's failure draw, which the
 /// difference cancels exactly.
 ///
@@ -103,8 +84,6 @@ VrEstimate estimate_mean(const std::vector<double>& samples, bool paired,
 /// comparison with common random numbers instead of independent campaigns.
 VrEstimate estimate_contrast(const std::vector<double>& samples,
                              const std::vector<double>& reference,
-                             bool paired,
-                             const std::vector<double>& strata = {},
-                             int strata_bins = 0);
+                             bool paired);
 
 }  // namespace coopcr

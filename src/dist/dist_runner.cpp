@@ -322,6 +322,15 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     workers.push_back(std::move(w));
   };
 
+  // Spawn toward target_shards, but never a worker that could not be
+  // handed a queued unit.
+  auto grow_to_target = [&]() {
+    while (active_count() < target_shards &&
+           idle_active_count() < static_cast<int>(pending.size())) {
+      spawn_one();
+    }
+  };
+
   // Replace casualties up to the respawn budget, but never spawn a worker
   // that could not be handed a queued unit.
   auto top_up = [&]() {
@@ -388,10 +397,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
   // lost and the artifacts cannot change.
   auto do_resize = [&](int new_shards) {
     target_shards = std::max(1, new_shards);
-    while (active_count() < target_shards &&
-           idle_active_count() < static_cast<int>(pending.size())) {
-      spawn_one();
-    }
+    grow_to_target();
     for (Worker& w : workers) {
       if (active_count() <= target_shards) break;
       if (!w.alive || w.draining || w.inflight) continue;
@@ -667,25 +673,16 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
     const int round_target = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(options_.shards), pending.size()));
     if (round_target > target_shards) target_shards = round_target;
-    while (active_count() < target_shards &&
-           idle_active_count() < static_cast<int>(pending.size())) {
-      spawn_one();
-    }
+    grow_to_target();
     for (Worker& w : workers) {
       if (pending.empty()) break;
       dispatch(w);
     }
   }
 
-  // Graceful shutdown: tell survivors to exit, then reap everyone.
+  // Graceful shutdown: retire every survivor.
   for (Worker& w : workers) {
-    if (!w.alive) continue;
-    try {
-      write_frame(w.to_fd, MsgType::kShutdown, {});
-    } catch (const Error&) {
-      // Already gone; reap below.
-    }
-    reap(w);
+    if (w.alive) retire(w);
   }
   if (journal) journal->close();
 

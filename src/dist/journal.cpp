@@ -126,7 +126,7 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
 std::uint64_t spec_digest(const exp::ExperimentSpec& spec,
                           const std::vector<exp::GridPoint>& points) {
   Hasher h;
-  h.str("coopcr-spec-digest-v2");
+  h.str("coopcr-spec-digest-v3");
   h.str(spec.name());
   h.u32(static_cast<std::uint32_t>(spec.campaign_options().replicas));
   // The variance-reduction options change what a work unit computes (a
@@ -134,14 +134,12 @@ std::uint64_t spec_digest(const exp::ExperimentSpec& spec,
   // of the identity.
   h.u32(spec.campaign_options().antithetic ? 1 : 0);
   h.u32(spec.campaign_options().control_variate ? 1 : 0);
-  // The sequential-stopping and contrast/stratification options decide the
-  // extend-round schedule and the convergence rule — a journal written under
-  // one stopping rule must never resume under another (digest v2).
+  // The sequential-stopping and contrast options decide the extend-round
+  // schedule and the convergence rule — a journal written under one stopping
+  // rule must never resume under another (digest v2, v3).
   h.f64(spec.campaign_options().target_ci_width);
   h.u32(static_cast<std::uint32_t>(spec.campaign_options().max_replicas));
   h.str(spec.campaign_options().contrast_reference);
-  h.u32(static_cast<std::uint32_t>(spec.campaign_options().strata_bins));
-  h.str(spec.campaign_options().strata_feature);
   const std::vector<Strategy>& strategies = spec.strategy_set();
   h.u64(strategies.size());
   for (const Strategy& s : strategies) h.str(s.name());

@@ -34,13 +34,17 @@
 // had decided — unit records past the round record address replicas the
 // header's initial count does not cover, and are validated against the
 // running per-point counts instead. The spec digest folds the sequential-
-// stopping and contrast/stratification options in, so a journal can never
-// be replayed under a different stopping rule.
+// stopping and estimator options in, so a journal can never be replayed
+// under a different stopping rule.
 //
 // Format version 4 (slot layout v4): the pair-partner fields are gone. A
 // partner is an ordinary replica, so every unit record holds one replica's
 // slot and its `replica` field is the replica index in every mode. Journals
 // of any earlier version refuse to resume (format_version mismatch).
+//
+// Format version 5 (slot layout v5): the three workload-feature doubles are
+// gone from every unit record's slot, and the spec digest (tag v3) no longer
+// folds the two options of the estimator that binned on them.
 //
 // Torn-write discipline: every record is length-prefixed and checksummed.
 // A record cut short by a crash — or whose checksum fails at the *end* of
@@ -73,8 +77,9 @@ inline constexpr const char* kCodeVersion = "coopcr-7";
 /// Journal file format version (layout changes only). v2: slot layout
 /// gained the variance-reduction fields; v3: typed records (unit + round
 /// boundary) and the slot workload features; v4: one replica per unit
-/// record, pair-partner fields gone (see the header comment).
-inline constexpr std::uint32_t kJournalFormatVersion = 4;
+/// record, pair-partner fields gone; v5: slot workload features gone (see
+/// the header comment).
+inline constexpr std::uint32_t kJournalFormatVersion = 5;
 
 /// FNV-1a 64-bit over `data` (checksums and the spec digest).
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);

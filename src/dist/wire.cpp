@@ -251,18 +251,13 @@ std::vector<ReplicaStrategyMetrics> decode_tuples(Decoder& dec) {
 }  // namespace
 
 void encode_slot(Encoder& enc, const ReplicaSlot& slot) {
-  // Layout v4 (kProtocolVersion / journal format 4): the two baseline
-  // denominators, the per-strategy tuples (u32 count + 8 doubles each), the
-  // control-variate predictor (0.0 when control variates are off), then the
-  // three realised workload-feature doubles post-stratification bins on
-  // (total node-seconds, job count, max class share).
+  // Layout v5 (kProtocolVersion / journal format 5): the two baseline
+  // denominators, the per-strategy tuples (u32 count + 8 doubles each), then
+  // the control-variate predictor (0.0 when control variates are off).
   enc.f64(slot.baseline_useful);
   enc.f64(slot.baseline_useful_energy);
   encode_tuples(enc, slot.per_strategy);
   enc.f64(slot.cv_predictor);
-  enc.f64(slot.work_total);
-  enc.f64(slot.work_jobs);
-  enc.f64(slot.work_max_share);
 }
 
 ReplicaSlot decode_slot(Decoder& dec) {
@@ -271,9 +266,6 @@ ReplicaSlot decode_slot(Decoder& dec) {
   slot.baseline_useful_energy = dec.f64();
   slot.per_strategy = decode_tuples(dec);
   slot.cv_predictor = dec.f64();
-  slot.work_total = dec.f64();
-  slot.work_jobs = dec.f64();
-  slot.work_max_share = dec.f64();
   return slot;
 }
 

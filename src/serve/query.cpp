@@ -85,11 +85,17 @@ std::string AdvisorQuery::canonical() const {
   std::vector<std::pair<std::string, double>> sorted = coords;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Every name is a quoted, escaped JSON string, so no separator inside a
+  // member can pass for the boundary between two members.
   std::ostringstream os;
-  os << "experiment=" << experiment << "|metric=" << metric;
-  for (const auto& [axis, value] : sorted) {
-    os << "|" << axis << "=" << format_number(value);
+  os << "{\"experiment\":\"" << json_escape(experiment) << "\",\"metric\":\""
+     << json_escape(metric) << "\",\"coords\":{";
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i > 0) os << ",";
+    os << "\"" << json_escape(sorted[i].first)
+       << "\":" << format_number(sorted[i].second);
   }
+  os << "}}";
   return os.str();
 }
 

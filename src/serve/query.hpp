@@ -50,9 +50,11 @@ struct AdvisorQuery {
   /// coopcr::Error on malformed documents or unknown members.
   static AdvisorQuery from_json(const std::string& text);
 
-  /// Canonical text form: experiment, metric, and coords sorted by axis
-  /// name, values in 17-digit round-trip formatting. Two queries meaning
-  /// the same thing canonicalise identically regardless of coord order.
+  /// Canonical text form: a single-line JSON object of experiment, metric,
+  /// and coords sorted by axis name, every string escaped and values in
+  /// 17-digit round-trip formatting. Two queries meaning the same thing
+  /// canonicalise identically regardless of coord order, and two different
+  /// queries never share a form, whatever their strings contain.
   std::string canonical() const;
 
   /// fnv1a64 over canonical() — the QueryCache key.

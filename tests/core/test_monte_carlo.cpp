@@ -1,7 +1,7 @@
 // Tests for the Monte Carlo harness: statistics plumbing, thread-count
-// independence, env-var options, report lookups, and the one replica
-// pipeline (prepare_replica + strategy_metrics) behind both the campaign and
-// run_replica.
+// and strategy-order independence, env-var options, report lookups, and the
+// one replica pipeline (prepare_replica + strategy_metrics) behind both the
+// campaign and run_replica.
 
 #include "core/monte_carlo.hpp"
 
@@ -393,6 +393,36 @@ TEST(MonteCarlo, SharedPipelineIsTheCampaignsReplica) {
                    0.18715367449215989);
   EXPECT_DOUBLE_EQ(paired.slot(1).per_strategy[0].waste_ratio,
                    0.17670126580941542);
+}
+
+TEST(MonteCarlo, PermutingTheStrategyListPermutesTheOutcomes) {
+  // Metamorphic relation: a strategy's samples depend on the replica draw
+  // and the strategy alone, never on which strategies ran before it on the
+  // same SimWorkspace. Reversing the paper's seven strategies must permute
+  // the outcomes and change no bit of any sample.
+  const ScenarioConfig scenario = ScenarioBuilder::cielo_apex(7)
+                                      .horizon(units::days(6))
+                                      .segment(units::days(1), units::days(5))
+                                      .build();
+  std::vector<Strategy> forward(paper_strategies().begin(),
+                                paper_strategies().end());
+  std::vector<Strategy> reversed(forward.rbegin(), forward.rend());
+  MonteCarloOptions options;
+  options.replicas = 4;
+  options.threads = 2;
+  const MonteCarloReport a = run_monte_carlo(scenario, forward, options);
+  const MonteCarloReport b = run_monte_carlo(scenario, reversed, options);
+
+  EXPECT_EQ(a.baseline_useful.samples(), b.baseline_useful.samples());
+  ASSERT_EQ(a.outcomes.size(), 7u);
+  for (const StrategyOutcome& oa : a.outcomes) {
+    SCOPED_TRACE(oa.strategy.name());
+    const StrategyOutcome& ob = b.outcome(oa.strategy.name());
+    ASSERT_EQ(oa.waste_ratio.samples().size(), 4u);
+    EXPECT_EQ(oa.waste_ratio.samples(), ob.waste_ratio.samples());
+    EXPECT_EQ(oa.energy_waste_ratio.samples(),
+              ob.energy_waste_ratio.samples());
+  }
 }
 
 TEST(MonteCarlo, RunReplicaRejectsAZeroUsefulBaseline) {

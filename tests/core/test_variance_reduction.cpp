@@ -11,10 +11,8 @@
 //  * option validation: odd replica counts are rejected under antithetic
 //    pairing, and keep_results keeps one result per replica;
 //  * estimate_contrast arithmetic — per-replica paired differences, the
-//    unpaired two-sample vr_factor credit, antithetic and stratification
-//    composition — pinned to hand-computed values;
-//  * post-stratification keeps the mean, shrinks only the variance, and
-//    degenerates safely when the binning is too fine;
+//    unpaired two-sample vr_factor credit and antithetic composition —
+//    pinned to hand-computed values;
 //  * the campaign-level contrast on a full-APEX-mix row cancels the shared
 //    workload-schedule variance (vr_factor floor vs the unpaired
 //    comparison);
@@ -141,37 +139,6 @@ TEST(EstimateMean, ValidatesItsInputs) {
   EXPECT_THROW(estimate_mean({1.0, 2.0}, false, {0.5}, 0.0), Error);
 }
 
-TEST(EstimateMean, PostStratificationKeepsMeanAndShrinksVariance) {
-  // Two clusters perfectly explained by the feature: units {1,2} (feature
-  // low) and {10,11} (feature high), 2 quantile bins. The mean is the plain
-  // sample mean; the variance keeps only the within-bin spread:
-  // each bin has weight 1/2, variance 1/2 and 2 units, so
-  // Var = 2 * (1/2)^2 * (1/2)/2 = 1/8.
-  const std::vector<double> samples = {1.0, 2.0, 10.0, 11.0};
-  const std::vector<double> strata = {0.1, 0.2, 0.9, 0.8};
-  const VrEstimate plain = estimate_mean(samples, false, {}, 0.0);
-  const VrEstimate strat = estimate_mean(samples, false, {}, 0.0, strata, 2);
-  EXPECT_DOUBLE_EQ(strat.mean, plain.mean);
-  EXPECT_DOUBLE_EQ(strat.mean, 6.0);
-  EXPECT_DOUBLE_EQ(strat.std_error, std::sqrt(0.125));
-  // Plain estimator variance: sample variance 82/3 over 4 samples.
-  EXPECT_DOUBLE_EQ(strat.vr_factor, (82.0 / 3.0 / 4.0) / 0.125);
-  EXPECT_DOUBLE_EQ(strat.ess, 4.0 * strat.vr_factor);
-}
-
-TEST(EstimateMean, TooFineBinningFallsBackToUnstratifiedVariance) {
-  // 4 units cannot fill 3 bins with >= 2 units each: the stratified variance
-  // must quietly degenerate to the plain one instead of fabricating a
-  // narrower CI from singleton bins.
-  const std::vector<double> samples = {1.0, 2.0, 10.0, 11.0};
-  const std::vector<double> strata = {0.1, 0.2, 0.9, 0.8};
-  const VrEstimate plain = estimate_mean(samples, false, {}, 0.0);
-  const VrEstimate strat = estimate_mean(samples, false, {}, 0.0, strata, 3);
-  EXPECT_DOUBLE_EQ(strat.mean, plain.mean);
-  EXPECT_DOUBLE_EQ(strat.std_error, plain.std_error);
-  EXPECT_DOUBLE_EQ(strat.vr_factor, 1.0);
-}
-
 TEST(EstimateContrast, MatchesHandComputedPairedDifferences) {
   // diffs = {1, 1, 1, -1}: mean 1/2, sample variance 1, so the paired
   // estimator's variance is 1/4. The unpaired two-sample alternative over
@@ -200,26 +167,12 @@ TEST(EstimateContrast, ComposesWithAntitheticPairing) {
   EXPECT_DOUBLE_EQ(est.vr_factor, (4.0 / 3.0) / 0.25);
 }
 
-TEST(EstimateContrast, ComposesWithPostStratification) {
-  // diffs = {1, 2, 2, 3}; 2 quantile bins of the feature hold {1,2} and
-  // {2,3}: Var = 2 * (1/2)^2 * (1/2)/2 = 1/8, mean unchanged at 2.
-  const std::vector<double> a = {2.0, 3.0, 10.0, 12.0};
-  const std::vector<double> b = {1.0, 1.0, 8.0, 9.0};
-  const std::vector<double> strata = {0.1, 0.2, 0.8, 0.9};
-  const VrEstimate est =
-      estimate_contrast(a, b, /*paired=*/false, strata, /*strata_bins=*/2);
-  EXPECT_DOUBLE_EQ(est.mean, 2.0);
-  EXPECT_DOUBLE_EQ(est.std_error, std::sqrt(0.125));
-}
-
 TEST(EstimateContrast, ValidatesItsInputs) {
   EXPECT_THROW(estimate_contrast({}, {}, false), Error);
   EXPECT_THROW(estimate_contrast({1.0, 2.0}, {1.0}, false), Error);
   EXPECT_THROW(
       estimate_contrast({1.0, 2.0, 3.0}, {1.0, 2.0, 3.0}, /*paired=*/true),
       Error);
-  EXPECT_THROW(
-      estimate_contrast({1.0, 2.0}, {1.0, 2.0}, false, {0.5}, 2), Error);
 }
 
 TEST(EstimateContrast, IdenticalStrategiesCollapseTheContrastError) {

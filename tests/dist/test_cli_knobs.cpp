@@ -126,10 +126,8 @@ TEST_F(CliKnobsTest, BadKnobValuesNameTheirOwnKnob) {
                  "--fault-plan");
   expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan resize=0@3",
                  "--fault-plan");
-  expect_refusal(
-      "--spec demo --replicas 2 --shards 2 --strata-bins 2 "
-      "--strata-feature total_work",
-      "--strata-feature");
+  expect_refusal("--spec demo --replicas 2 --shards 2 --strata-bins 2",
+                 "unknown argument: --strata-bins");
 }
 
 TEST_F(CliKnobsTest, FaultedDistRunMatchesInProcessArtifactBytes) {

@@ -331,13 +331,11 @@ TEST_F(DistRunnerTest, SequentialStoppingMatchesInProcessRunnerByteForByte) {
 TEST_F(DistRunnerTest, AdaptiveJournaledSweepResumesMidRoundByteIdentically) {
   // A journaled adaptive sweep interrupted *inside* an extend round (after
   // the round record, before the round's units finish) must resume into the
-  // grown campaign sizes and land on the same bytes. Contrast + strata are
-  // on so the convergence rule exercises the contrast-aware path and the
-  // journal round-trips the v3 slot workload features.
+  // grown campaign sizes and land on the same bytes. The contrast is on so
+  // the convergence rule exercises the contrast-aware path.
   exp::ExperimentSpec spec = adaptive_spec();
   MonteCarloOptions mc = spec.campaign_options();
   mc.contrast_reference = spec.strategy_set()[0].name();
-  mc.strata_bins = 2;
   spec.options(mc);
   const exp::ExperimentReport reference = reference_report(spec);
   ASSERT_EQ(reference.points[0].report.replicas, 16);

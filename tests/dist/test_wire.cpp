@@ -32,11 +32,6 @@ ReplicaSlot sample_slot() {
   slot.per_strategy[0].energy_waste_ratio = 0.25;
   slot.per_strategy[0].ckpt_waste_ratio = 0.0625;
   slot.per_strategy[1].waste_ratio = std::nextafter(1.0, 2.0);
-  // Slot layout v3: realised workload features (post-stratification bins on
-  // these).
-  slot.work_total = 8.64e11 + 0.5;
-  slot.work_jobs = 4096.0;
-  slot.work_max_share = std::nextafter(0.66, 1.0);
   return slot;
 }
 
@@ -59,9 +54,6 @@ TEST(Wire, SlotRoundTripIsBitExact) {
   EXPECT_TRUE(bit_equal(out.baseline_useful, slot.baseline_useful));
   EXPECT_TRUE(
       bit_equal(out.baseline_useful_energy, slot.baseline_useful_energy));
-  EXPECT_TRUE(bit_equal(out.work_total, slot.work_total));
-  EXPECT_TRUE(bit_equal(out.work_jobs, slot.work_jobs));
-  EXPECT_TRUE(bit_equal(out.work_max_share, slot.work_max_share));
   ASSERT_EQ(out.per_strategy.size(), slot.per_strategy.size());
   for (std::size_t s = 0; s < slot.per_strategy.size(); ++s) {
     const ReplicaStrategyMetrics& a = slot.per_strategy[s];
