@@ -518,8 +518,12 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
       // Heartbeat deadline: a worker with a unit in flight that has been
       // silent too long is presumed hung (e.g. a scripted stall) and killed;
       // its unit re-runs elsewhere to the same bits.
+      // Both walks below index the deque instead of iterating it: a death or
+      // a fired resize can spawn mid-walk, and push_back invalidates deque
+      // iterators (element references stay valid).
       if (options_.heartbeat_ms > 0) {
-        for (Worker& w : workers) {
+        for (std::size_t k = 0; k < workers.size(); ++k) {
+          Worker& w = workers[k];
           if (!w.alive || !w.inflight) continue;
           if (elapsed_ms_since(w.last_heard) > options_.heartbeat_ms) {
             if (w.pid > 0) ::kill(w.pid, SIGKILL);
@@ -529,7 +533,8 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
       }
 
       // Deliver delayed frames whose hold expired.
-      for (Worker& w : workers) {
+      for (std::size_t k = 0; k < workers.size(); ++k) {
+        Worker& w = workers[k];
         if (!w.alive || w.delayed.empty()) continue;
         std::size_t i = 0;
         while (i < w.delayed.size()) {

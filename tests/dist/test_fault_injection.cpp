@@ -432,6 +432,26 @@ TEST_F(FaultInjectionTest, DroppedTruncatedAndDelayedFramesAreSurvived) {
   EXPECT_EQ(json_bytes(reference), json_bytes(survived));
 }
 
+TEST_F(FaultInjectionTest, ResizeFiredWhileDeliveringDelayedFramesIsByteIdentical) {
+  // Regression: every worker's first result is held back one poll round,
+  // and delivering the first of them fires a grow to 60 shards. The spawns
+  // it asks for must not land while the coordinator is still walking the
+  // fleet to deliver the other held frames — that once invalidated the
+  // walk (a use-after-free on the worker container).
+  const exp::ExperimentSpec spec = grid_spec(20);
+  const exp::ExperimentReport reference = reference_report(spec);
+  auto plan = std::make_shared<dist::FaultPlan>();
+  for (int k = 0; k < 6; ++k) plan->delay_frame(k, 2, 1);
+  plan->resize(60, 1);
+  dist::DistOptions options;
+  options.shards = 6;
+  options.fault_plan = plan;
+  dist::DistSweepRunner runner(options);
+  const exp::ExperimentReport survived = runner.run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
+  EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+}
+
 TEST_F(FaultInjectionTest, TornJournalResumesByteIdentically) {
   const exp::ExperimentSpec spec = grid_spec();
   const exp::ExperimentReport reference = reference_report(spec);
