@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
         options.engine.executor.backend = exp::executor_backend_from_name(next);
         ++i;
       } else if (arg == "--shards") {
-        options.engine.executor.shards = int_arg(arg, next);
-        COOPCR_CHECK(options.engine.executor.shards >= 1,
+        options.engine.executor.dist.shards = int_arg(arg, next);
+        COOPCR_CHECK(options.engine.executor.dist.shards >= 1,
                      "--shards must be >= 1");
         ++i;
       } else if (arg == "--threads") {

@@ -251,37 +251,36 @@ int main(int argc, char** argv) {
       COOPCR_CHECK(!resume || !journal.empty(),
                    "--resume requires --journal (or COOPCR_JOURNAL)");
       options.backend = exp::ExecutorBackend::kDist;
-      options.shards = shards;
-      options.journal = journal;
-      options.resume = resume;
-      options.max_respawns = max_respawns;
-      options.heartbeat_ms = heartbeat_ms;
+      options.dist.shards = shards;
+      options.dist.journal = journal;
+      options.dist.resume = resume;
+      options.dist.max_respawns = max_respawns;
+      options.dist.heartbeat_ms = heartbeat_ms;
       if (!fault_plan_text.empty()) {
-        options.fault_plan = std::make_shared<dist::FaultPlan>(
+        options.dist.fault_plan = std::make_shared<dist::FaultPlan>(
             dist::FaultPlan::parse(fault_plan_text, fault_plan_knob));
       }
       if (exec_workers) {
-        options.worker_command = {argv[0], "--worker", "--spec", spec_name,
-                                  "--replicas", std::to_string(mc.replicas)};
+        std::vector<std::string>& command = options.dist.worker_command;
+        command = {argv[0],   "--worker",   "--spec",
+                   spec_name, "--replicas", std::to_string(mc.replicas)};
         // Forward the options the spec digest covers, so an exec worker
         // rebuilds the exact same campaign shape.
-        if (mc.antithetic) options.worker_command.push_back("--antithetic");
-        if (mc.control_variate) {
-          options.worker_command.push_back("--control-variate");
-        }
+        if (mc.antithetic) command.push_back("--antithetic");
+        if (mc.control_variate) command.push_back("--control-variate");
         if (mc.target_ci_width > 0.0) {
-          options.worker_command.push_back("--target-ci");
+          command.push_back("--target-ci");
           // Round-trip formatting: the spec digest folds the exact bit
           // pattern, so the worker must parse back the identical double.
-          options.worker_command.push_back(format_number(mc.target_ci_width));
+          command.push_back(format_number(mc.target_ci_width));
         }
         if (mc.max_replicas > 0) {
-          options.worker_command.push_back("--max-replicas");
-          options.worker_command.push_back(std::to_string(mc.max_replicas));
+          command.push_back("--max-replicas");
+          command.push_back(std::to_string(mc.max_replicas));
         }
         if (!mc.contrast_reference.empty()) {
-          options.worker_command.push_back("--contrast");
-          options.worker_command.push_back(mc.contrast_reference);
+          command.push_back("--contrast");
+          command.push_back(mc.contrast_reference);
         }
       }
     }

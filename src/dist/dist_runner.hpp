@@ -33,6 +33,13 @@
 // scripted FaultPlan resize or SIGUSR1/SIGUSR2. The sweep only fails once
 // no workers remain and the respawn budget is spent — and then the journal
 // already holds every completed unit.
+//
+// Structure: run() validates, builds the campaigns, keeps the pending-unit
+// queue and turns the round loop. The fleet (dist_runner.cpp) owns the
+// worker processes; its grow() is the one spawn point, called at the loop's
+// head. The inbound frame seam (dist/transport.hpp InboundFrames) applies
+// the plan's frame faults; the journal sink (dist/journal.hpp JournalSink)
+// creates, replays and appends the journal. Options: dist/dist_options.hpp.
 
 #pragma once
 
@@ -41,60 +48,13 @@
 #include <string>
 #include <vector>
 
+#include "dist/dist_options.hpp"
 #include "dist/fault_injection.hpp"
 #include "exp/executor.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
 
 namespace coopcr::dist {
-
-/// Execution options for a distributed sweep.
-struct DistOptions {
-  /// Worker process count. COOPCR_SHARDS is the conventional env knob
-  /// (cli/coopcr_sweep.cpp); at most one worker per pending unit is
-  /// actually spawned.
-  int shards = 2;
-
-  /// Campaign journal path; empty disables journaling (the sweep is then
-  /// not resumable). A fresh run refuses to overwrite an existing journal;
-  /// set `resume` to continue it instead.
-  std::string journal;
-
-  /// Replay `journal` before dispatching: completed units are installed
-  /// from the journal and only the missing ones run. The journal header
-  /// must match this spec's digest, dimensions and code version.
-  bool resume = false;
-
-  /// Worker launch command (fork+exec). Empty forks the current process —
-  /// the worker inherits the spec, which is why specs never need
-  /// serialising. When set, the command must start a process that rebuilds
-  /// the same spec and calls worker_serve on kWorkerInFd/kWorkerOutFd
-  /// (coopcr_sweep --worker does); the coordinator verifies the worker's
-  /// digest before dispatching. Stall directives ride along as
-  /// "--stall <n>:<ms>" flags.
-  std::vector<std::string> worker_command;
-
-  /// Respawn budget: how many replacement workers may be spawned over the
-  /// whole run to keep the fleet at target strength after deaths
-  /// (including heartbeat kills and fault-plan casualties). 0 keeps the
-  /// historical requeue-to-survivors behaviour.
-  int max_respawns = 0;
-
-  /// > 0: a worker with a unit in flight that has been silent this many
-  /// milliseconds is presumed hung, SIGKILLed, and its unit re-queued
-  /// (respawning within budget). 0 disables the deadline.
-  int heartbeat_ms = 0;
-
-  /// Scripted fault injection (see dist/fault_injection.hpp): worker kills,
-  /// stalls, frame faults, journal damage, interrupts and elastic resizes.
-  /// A resize grows the fleet by spawning at once and shrinks it by
-  /// draining busy workers (their in-flight unit completes first);
-  /// SIGUSR1/SIGUSR2 adjust the fleet by ±1 at run time on top of it. The
-  /// hook seam is always compiled in and inert when the plan is null or
-  /// empty. Held by shared_ptr so fired single-shot actions stay fired
-  /// across a resume retry loop — the soak's core trick.
-  std::shared_ptr<FaultPlan> fault_plan;
-};
 
 class DistSweepRunner final : public exp::SweepExecutor {
  public:

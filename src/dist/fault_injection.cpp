@@ -1,10 +1,5 @@
 #include "dist/fault_injection.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "util/error.hpp"
@@ -55,11 +50,9 @@ std::pair<std::string, std::string> split_once(const std::string& text,
 
 FaultPlan& FaultPlan::kill_worker(int worker, int after_units) {
   COOPCR_CHECK(worker >= 0 && after_units >= 0, "kill_worker: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kKillWorker;
+  FaultAction& a = add(FaultKind::kKillWorker);
   a.worker = worker;
   a.after_units = after_units;
-  actions_.push_back(a);
   return *this;
 }
 
@@ -67,93 +60,76 @@ FaultPlan& FaultPlan::stall_worker(int worker, int before_result,
                                    int stall_ms) {
   COOPCR_CHECK(worker >= 0 && before_result >= 1 && stall_ms >= 1,
                "stall_worker: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kStallWorker;
+  FaultAction& a = add(FaultKind::kStallWorker);
   a.worker = worker;
   a.after_units = before_result;
   a.stall_ms = stall_ms;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::drop_frame(int worker, int frame) {
   COOPCR_CHECK(worker >= 0 && frame >= 1, "drop_frame: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kDropFrame;
+  FaultAction& a = add(FaultKind::kDropFrame);
   a.worker = worker;
   a.frame = frame;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::truncate_frame(int worker, int frame) {
   COOPCR_CHECK(worker >= 0 && frame >= 1, "truncate_frame: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kTruncateFrame;
+  FaultAction& a = add(FaultKind::kTruncateFrame);
   a.worker = worker;
   a.frame = frame;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::delay_frame(int worker, int frame, int rounds) {
   COOPCR_CHECK(worker >= 0 && frame >= 1 && rounds >= 1,
                "delay_frame: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kDelayFrame;
+  FaultAction& a = add(FaultKind::kDelayFrame);
   a.worker = worker;
   a.frame = frame;
   a.delay_rounds = rounds;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::tear_journal(int after_units, int garbage_bytes) {
   COOPCR_CHECK(after_units >= 0 && garbage_bytes >= 1 && garbage_bytes <= 4096,
                "tear_journal: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kTearJournal;
+  FaultAction& a = add(FaultKind::kTearJournal);
   a.after_units = after_units;
   a.tear_bytes = garbage_bytes;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::flip_journal_byte(int after_units,
                                         std::uint64_t offset) {
   COOPCR_CHECK(after_units >= 0, "flip_journal_byte: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kFlipJournalByte;
+  FaultAction& a = add(FaultKind::kFlipJournalByte);
   a.after_units = after_units;
   a.offset = offset;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::interrupt(int after_units) {
   COOPCR_CHECK(after_units >= 0, "interrupt: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kInterrupt;
+  FaultAction& a = add(FaultKind::kInterrupt);
   a.after_units = after_units;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan& FaultPlan::resize(int shards, int after_units) {
   COOPCR_CHECK(shards >= 1 && after_units >= 0, "resize: bad arguments");
-  FaultAction a;
-  a.kind = FaultKind::kResize;
+  FaultAction& a = add(FaultKind::kResize);
   a.shards = shards;
   a.after_units = after_units;
-  actions_.push_back(a);
   return *this;
 }
 
 FaultPlan FaultPlan::parse(const std::string& text, const std::string& knob) {
   FaultPlan plan;
   std::size_t begin = 0;
-  while (begin <= text.size()) {
-    if (begin == text.size()) break;
+  while (begin < text.size()) {
     std::size_t end = text.find(',', begin);
     if (end == std::string::npos) end = text.size();
     const std::string action = text.substr(begin, end - begin);
@@ -259,12 +235,9 @@ FaultAction FaultPlan::take_frame_fault(int worker, int frame) {
       continue;
     }
     a.fired = true;
-    FaultAction fired = a;
-    return fired;
+    return a;
   }
-  FaultAction none;
-  none.fired = false;
-  return none;
+  return FaultAction{};
 }
 
 std::vector<FaultAction> FaultPlan::take_stalls(int worker) {
@@ -277,43 +250,6 @@ std::vector<FaultAction> FaultPlan::take_stalls(int worker) {
     stalls.push_back(a);
   }
   return stalls;
-}
-
-void append_torn_journal_tail(int fd, int garbage_bytes) {
-  COOPCR_CHECK(fd >= 0 && garbage_bytes >= 1, "torn tail: bad arguments");
-  // 0xA5 everywhere: the first four bytes decode as a length prefix far
-  // beyond kMaxFramePayload, so replay classifies the tail as torn no
-  // matter how many bytes land.
-  std::vector<std::uint8_t> garbage(static_cast<std::size_t>(garbage_bytes),
-                                    0xA5);
-  std::size_t written = 0;
-  while (written < garbage.size()) {
-    const ssize_t rc =
-        ::write(fd, garbage.data() + written, garbage.size() - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("torn tail write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(rc);
-  }
-}
-
-void flip_journal_byte_at(const std::string& path, std::uint64_t offset) {
-  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-  COOPCR_CHECK(fd >= 0, "cannot open journal for byte flip: " + path + ": " +
-                            std::strerror(errno));
-  std::uint8_t byte = 0;
-  const ssize_t got = ::pread(fd, &byte, 1, static_cast<off_t>(offset));
-  if (got != 1) {
-    ::close(fd);
-    COOPCR_CHECK(false, "journal byte flip offset " + std::to_string(offset) +
-                            " is past the end of " + path);
-  }
-  byte ^= 0xFF;
-  const ssize_t put = ::pwrite(fd, &byte, 1, static_cast<off_t>(offset));
-  ::close(fd);
-  COOPCR_CHECK(put == 1, "journal byte flip write failed: " + path);
 }
 
 }  // namespace coopcr::dist

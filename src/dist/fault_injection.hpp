@@ -115,17 +115,14 @@ class FaultPlan {
   const std::vector<FaultAction>& actions() const { return actions_; }
 
  private:
+  /// Append an action of `kind`; the builder fills in its fields.
+  FaultAction& add(FaultKind kind) {
+    actions_.push_back(FaultAction{});
+    actions_.back().kind = kind;
+    return actions_.back();
+  }
+
   std::vector<FaultAction> actions_;
 };
-
-/// Append `garbage_bytes` of a deliberately torn partial block to the open
-/// journal fd — the byte pattern decodes as an absurd length prefix, so
-/// replay always treats it as a torn tail.
-void append_torn_journal_tail(int fd, int garbage_bytes);
-
-/// XOR the byte at `offset` in the journal file at `path` with 0xFF —
-/// guaranteed corruption regardless of the original value. Throws
-/// coopcr::Error when the file cannot be opened or `offset` is past EOF.
-void flip_journal_byte_at(const std::string& path, std::uint64_t offset);
 
 }  // namespace coopcr::dist

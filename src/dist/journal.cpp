@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -99,28 +100,12 @@ bool parse_block(const std::vector<std::uint8_t>& data, std::size_t& pos,
   return true;
 }
 
-void write_all_fd(int fd, const std::vector<std::uint8_t>& data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t rc = ::write(fd, data.data() + written,
-                               data.size() - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("journal write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(rc);
-  }
-}
-
 }  // namespace
 
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t state = kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    state = (state ^ data[i]) * kFnvPrime;
-  }
-  return state;
+  Hasher h;
+  h.bytes(data, n);
+  return h.digest();
 }
 
 std::uint64_t spec_digest(const exp::ExperimentSpec& spec,
@@ -280,7 +265,7 @@ JournalWriter JournalWriter::create(const std::string& path,
   const std::vector<std::uint8_t> body =
       frame_block(encode_header_payload(header));
   block.insert(block.end(), body.begin(), body.end());
-  write_all_fd(fd, block);
+  write_all(fd, block, "journal");
   COOPCR_CHECK(::fdatasync(fd) == 0, "journal fdatasync failed");
   return writer;
 }
@@ -316,7 +301,7 @@ void JournalWriter::append_record(const JournalRecord& record) {
     enc.u32(record.replica);
     encode_slot(enc, record.slot);
   }
-  write_all_fd(fd_, frame_block(enc.bytes()));
+  write_all(fd_, frame_block(enc.bytes()), "journal");
   COOPCR_CHECK(::fdatasync(fd_) == 0, "journal fdatasync failed");
 }
 
@@ -325,6 +310,98 @@ void JournalWriter::close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+JournalHeader journal_header(const exp::ExperimentSpec& spec,
+                             const std::vector<exp::GridPoint>& points,
+                             int replicas) {
+  JournalHeader header;
+  header.spec_digest = spec_digest(spec, points);
+  header.points = static_cast<std::uint32_t>(points.size());
+  header.replicas = static_cast<std::uint32_t>(replicas);
+  header.strategies = static_cast<std::uint32_t>(spec.strategy_set().size());
+  return header;
+}
+
+JournalSink::JournalSink(
+    const std::string& path, bool resume, const JournalHeader& header,
+    std::vector<std::unique_ptr<MonteCarloCampaign>>& campaigns)
+    : path_(path) {
+  if (path.empty()) return;
+  if (!resume) {
+    COOPCR_CHECK(!std::filesystem::exists(path),
+                 "journal already exists: " + path +
+                     " — pass resume to continue it, or remove it");
+    writer_.emplace(JournalWriter::create(path, header));
+    return;
+  }
+  JournalReplay replay = replay_journal(path, header);
+  for (JournalRecord& record : replay.records) {
+    if (record.kind == JournalRecord::Kind::kRound) {
+      for (std::uint32_t p = 0; p < header.points; ++p) {
+        campaigns[p]->extend(static_cast<int>(record.round_replicas[p]));
+      }
+      rounds_ = record.round;
+      continue;
+    }
+    MonteCarloCampaign& campaign = *campaigns[record.point];
+    const int replica = static_cast<int>(record.replica);
+    if (!campaign.slot_done(replica)) {
+      campaign.install_slot(replica, std::move(record.slot));
+    }
+  }
+  writer_.emplace(JournalWriter::append_after(path, replay.valid_bytes));
+}
+
+void JournalSink::append_unit(std::uint32_t point, std::uint32_t replica,
+                              const ReplicaSlot& slot) {
+  if (!writer_) return;
+  JournalRecord record;
+  record.point = point;
+  record.replica = replica;
+  record.slot = slot;
+  writer_->append_record(record);
+}
+
+void JournalSink::append_round(
+    const std::vector<std::uint32_t>& round_replicas) {
+  if (!writer_) return;
+  JournalRecord record;
+  record.kind = JournalRecord::Kind::kRound;
+  record.round = ++rounds_;
+  record.round_replicas = round_replicas;
+  writer_->append_record(record);
+}
+
+void JournalSink::tear(int garbage_bytes) {
+  if (!writer_) return;
+  // 0xA5 everywhere: the first four bytes decode as a length prefix far
+  // beyond kMaxFramePayload, so replay classifies the tail as torn no
+  // matter how many bytes land.
+  const std::vector<std::uint8_t> garbage(
+      static_cast<std::size_t>(garbage_bytes), 0xA5);
+  write_all(writer_->fd(), garbage, "journal");
+}
+
+void JournalSink::flip(std::uint64_t offset) {
+  if (!writer_) return;
+  writer_->close();
+  const int fd = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+  COOPCR_CHECK(fd >= 0, "cannot open journal for byte flip: " + path_ +
+                            ": " + std::strerror(errno));
+  std::uint8_t byte = 0;
+  const bool read = ::pread(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
+  byte ^= 0xFF;  // guaranteed corruption, whatever the byte was
+  const bool written =
+      read && ::pwrite(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
+  ::close(fd);
+  COOPCR_CHECK(read, "journal byte flip offset " + std::to_string(offset) +
+                         " is past the end of " + path_);
+  COOPCR_CHECK(written, "journal byte flip write failed: " + path_);
+}
+
+void JournalSink::close() {
+  if (writer_) writer_->close();
 }
 
 }  // namespace coopcr::dist

@@ -16,35 +16,19 @@
 //            payload = format version, spec digest, code version string,
 //                      grid points, replicas per point, strategy count
 //   record*  u32 len | u64 fnv1a(payload) | payload
-//            payload = u32 point, u32 replica, ReplicaSlot (wire encoding)
+//            payload = u16 kind, then
+//              kind 1 (unit):  u32 point, u32 replica, ReplicaSlot (wire
+//                              encoding)
+//              kind 2 (round): u32 round, u32 n, n × u32 per-point replicas
 //
-// Format version 2 (slot layout v2): each record's ReplicaSlot gained the
-// variance-reduction fields of wire kProtocolVersion 2 — a pair partner's
-// baselines and tuples and two control-variate predictor doubles. The spec
-// digest folds the pairing and control-variate options in, so a journal can
-// never be replayed into a campaign with a different pairing.
-//
-// Format version 3 (slot layout v3, sequential stopping): record payloads
-// now lead with a u16 record kind. Kind 1 (unit) is the v2 payload — u32
-// point, u32 replica, ReplicaSlot (which gained the six workload-feature
-// doubles of wire kProtocolVersion 3). Kind 2 (round) marks a sequential-
-// stopping round boundary: the coordinator appends one *before* dispatching
-// an extend round, recording the new per-point replica counts, so a resume
+// A round record marks a sequential-stopping round boundary. The
+// coordinator appends it *before* dispatching the extend round, so a resume
 // that lands mid-round rebuilds exactly the campaign sizes the snapshots
-// had decided — unit records past the round record address replicas the
-// header's initial count does not cover, and are validated against the
-// running per-point counts instead. The spec digest folds the sequential-
-// stopping and estimator options in, so a journal can never be replayed
-// under a different stopping rule.
-//
-// Format version 4 (slot layout v4): the pair-partner fields are gone. A
-// partner is an ordinary replica, so every unit record holds one replica's
-// slot and its `replica` field is the replica index in every mode. Journals
-// of any earlier version refuse to resume (format_version mismatch).
-//
-// Format version 5 (slot layout v5): the three workload-feature doubles are
-// gone from every unit record's slot, and the spec digest (tag v3) no longer
-// folds the two options of the estimator that binned on them.
+// had decided; unit records past it are checked against the running
+// per-point counts, not the header's. The spec digest folds the pairing,
+// control-variate, stopping and estimator options in, so a journal never
+// replays under a different campaign shape. Journals of any other format
+// version refuse to resume (kJournalFormatVersion has the history).
 //
 // Torn-write discipline: every record is length-prefixed and checksummed.
 // A record cut short by a crash — or whose checksum fails at the *end* of
@@ -61,6 +45,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,6 +87,12 @@ struct JournalHeader {
   std::uint32_t replicas = 0;  ///< replicas per point
   std::uint32_t strategies = 0;
 };
+
+/// The header of `spec`'s journal: its expanded `points` at `replicas`
+/// initial replicas per point.
+JournalHeader journal_header(const exp::ExperimentSpec& spec,
+                             const std::vector<exp::GridPoint>& points,
+                             int replicas);
 
 /// One durable journal record: a completed work unit (kUnit) or a
 /// sequential-stopping round boundary (kRound).
@@ -174,6 +166,57 @@ class JournalWriter {
   explicit JournalWriter(int fd) : fd_(fd) {}
 
   int fd_ = -1;
+};
+
+/// The coordinator's journal. With an empty path it records nothing and
+/// every call is a no-op. Otherwise it creates the journal fresh, refusing
+/// an existing file, or — with `resume` — replays it into `campaigns` and
+/// appends after its last valid byte. Replay applies records in append
+/// order:
+///   - a round record re-grows every campaign to the sizes it records, so
+///     later unit records land inside bounds and a mid-round resume
+///     finishes exactly the round that was interrupted;
+///   - a duplicate unit (journaled, then re-run after a crash landed
+///     between the append and the coordinator's bookkeeping) keeps its
+///     first copy — both are bit-identical by construction;
+///   - rounds appended later are numbered after the last replayed one.
+class JournalSink {
+ public:
+  JournalSink(const std::string& path, bool resume, const JournalHeader& header,
+              std::vector<std::unique_ptr<MonteCarloCampaign>>& campaigns);
+
+  bool enabled() const { return writer_.has_value(); }
+
+  /// The writer's fd, -1 without a journal — forked workers close it.
+  int fd() const { return writer_ ? writer_->fd() : -1; }
+
+  /// Extend rounds recorded so far, replayed ones included.
+  std::uint32_t rounds() const { return rounds_; }
+
+  /// Append + fdatasync a completed unit.
+  void append_unit(std::uint32_t point, std::uint32_t replica,
+                   const ReplicaSlot& slot);
+
+  /// Append + fdatasync the next extend round: the per-point replica counts
+  /// it grows each campaign to. The coordinator appends it before the
+  /// round's units dispatch.
+  void append_round(const std::vector<std::uint32_t>& round_replicas);
+
+  /// Fault injection (kTearJournal): append `garbage_bytes` of a torn
+  /// partial block, which replay always drops as a torn tail.
+  void tear(int garbage_bytes);
+
+  /// Fault injection (kFlipJournalByte): close the journal, then XOR the
+  /// byte at file offset `offset` with 0xFF. Throws coopcr::Error when
+  /// `offset` is past the end of the file.
+  void flip(std::uint64_t offset);
+
+  void close();
+
+ private:
+  std::string path_;
+  std::optional<JournalWriter> writer_;
+  std::uint32_t rounds_ = 0;
 };
 
 }  // namespace coopcr::dist

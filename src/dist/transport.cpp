@@ -4,7 +4,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
+#include "dist/fault_injection.hpp"
 #include "dist/wire.hpp"
 #include "util/error.hpp"
 
@@ -110,6 +112,33 @@ WorkerEndpoint spawn_worker(const WorkerLaunch& launch) {
   endpoint.to_fd = ch.parent_to;
   endpoint.from_fd = ch.parent_from;
   return endpoint;
+}
+
+void InboundFrames::tick() {
+  for (Held& held : held_) --held.rounds;
+}
+
+std::optional<Frame> InboundFrames::next() {
+  if (cut_) return std::nullopt;
+  for (auto it = held_.begin(); it != held_.end(); ++it) {
+    if (it->rounds > 0) continue;
+    Frame frame = std::move(it->frame);
+    held_.erase(it);
+    return frame;
+  }
+  while (std::optional<Frame> frame = buffer_.next()) {
+    const FaultAction fault = plan_->take_frame_fault(worker_, ++frames_seen_);
+    if (!fault.fired) return frame;
+    if (fault.kind == FaultKind::kDelayFrame) {
+      held_.push_back(Held{std::move(*frame), fault.delay_rounds});
+      continue;
+    }
+    // Drop or truncate: either way the frame is lost and the stream past
+    // it is out of step.
+    cut_ = true;
+    return std::nullopt;
+  }
+  return std::nullopt;
 }
 
 }  // namespace coopcr::dist

@@ -10,14 +10,20 @@
 // child whose stdin and stdout are already two pipes, so spawn_worker stays
 // the one launch seam. It absorbs the fork and fork+exec launch paths so
 // DistSweepRunner never touches pipe(), fork() or dup2() directly.
+//
+// InboundFrames is the read side of the boundary: one worker's bytes parsed
+// into frames, with the plan's drop, truncate and delay faults applied there.
 
 #pragma once
 
 #include <sys/types.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "dist/wire.hpp"
 #include "dist/worker.hpp"
 #include "exp/experiment.hpp"
 
@@ -48,5 +54,47 @@ struct WorkerEndpoint {
 /// Launch one worker process over a fresh pair of pipes. Throws
 /// coopcr::Error when the pipe, fork or exec setup fails.
 WorkerEndpoint spawn_worker(const WorkerLaunch& launch);
+
+class FaultPlan;  // dist/fault_injection.hpp
+
+/// One worker's inbound frame stream as the coordinator sees it. Frame
+/// numbers count every frame parsed from the stream — frame 1 is the
+/// worker's kHello — so "worker w's f-th frame" is a per-worker total
+/// order, and the plan's frame faults fire on exactly that frame.
+class InboundFrames {
+ public:
+  /// `worker` is the spawn index the plan's frame faults name.
+  InboundFrames(FaultPlan& plan, int worker) : plan_(&plan), worker_(worker) {}
+
+  /// Append raw bytes from a read().
+  void feed(const std::uint8_t* data, std::size_t n) { buffer_.feed(data, n); }
+
+  /// One poll round passed: every held frame is a round closer to release.
+  void tick();
+
+  /// The next frame to handle: a held frame whose hold has run out, else
+  /// the next parsed frame no fault takes. A scripted delay holds its frame
+  /// for R tick() calls and moves on to the frames behind it. A scripted
+  /// drop or truncation cuts the stream — the bytes past a lost frame
+  /// cannot be trusted — so next() returns nothing from then on and cut()
+  /// is true. Throws coopcr::Error on an oversized length prefix.
+  std::optional<Frame> next();
+
+  bool cut() const { return cut_; }
+  bool holding() const { return !held_.empty(); }
+
+ private:
+  struct Held {
+    Frame frame;
+    int rounds = 0;  ///< ticks left before release
+  };
+
+  FaultPlan* plan_;
+  int worker_;
+  FrameBuffer buffer_;
+  int frames_seen_ = 0;
+  std::vector<Held> held_;
+  bool cut_ = false;
+};
 
 }  // namespace coopcr::dist

@@ -12,43 +12,22 @@ namespace coopcr::dist {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& buf, std::uint16_t v) {
-  buf.push_back(static_cast<std::uint8_t>(v));
-  buf.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+/// Append `v` little-endian.
+template <typename T>
+void put_le(std::vector<std::uint8_t>& buf, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
     buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+/// Read a little-endian `T` at `p`.
+template <typename T>
+T get_le(const std::uint8_t* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | (static_cast<T>(p[i]) << (8 * i)));
   }
   return v;
-}
-
-/// Write `n` bytes, retrying on EINTR and short writes. Throws on error.
-void write_all(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t written = 0;
-  while (written < n) {
-    const ssize_t rc = ::write(fd, data + written, n - written);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      COOPCR_CHECK(false, std::string("wire write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(rc);
-  }
 }
 
 /// Read exactly `n` bytes. Returns false on clean EOF before the first
@@ -73,10 +52,24 @@ bool read_exact(int fd, std::uint8_t* data, std::size_t n) {
 
 }  // namespace
 
-void Encoder::u16(std::uint16_t v) { put_u16(buf_, v); }
-void Encoder::u32(std::uint32_t v) { put_u32(buf_, v); }
-void Encoder::u64(std::uint64_t v) { put_u64(buf_, v); }
-void Encoder::f64(double v) { put_u64(buf_, std::bit_cast<std::uint64_t>(v)); }
+void write_all(int fd, const std::vector<std::uint8_t>& data,
+               const std::string& what) {
+  std::size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t rc =
+        ::write(fd, data.data() + written, data.size() - written);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      COOPCR_CHECK(false, what + " write failed: " + std::strerror(errno));
+    }
+    written += static_cast<std::size_t>(rc);
+  }
+}
+
+void Encoder::u16(std::uint16_t v) { put_le(buf_, v); }
+void Encoder::u32(std::uint32_t v) { put_le(buf_, v); }
+void Encoder::u64(std::uint64_t v) { put_le(buf_, v); }
+void Encoder::f64(double v) { put_le(buf_, std::bit_cast<std::uint64_t>(v)); }
 
 void Encoder::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
@@ -93,21 +86,10 @@ const std::uint8_t* Decoder::take(std::size_t n) {
   return p;
 }
 
-std::uint16_t Decoder::u16() {
-  const std::uint8_t* p = take(2);
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
+std::uint16_t Decoder::u16() { return get_le<std::uint16_t>(take(2)); }
+std::uint32_t Decoder::u32() { return get_le<std::uint32_t>(take(4)); }
 
-std::uint32_t Decoder::u32() { return get_u32(take(4)); }
-
-std::uint64_t Decoder::u64() {
-  const std::uint8_t* p = take(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
+std::uint64_t Decoder::u64() { return get_le<std::uint64_t>(take(8)); }
 
 double Decoder::f64() { return std::bit_cast<double>(u64()); }
 
@@ -128,16 +110,16 @@ void write_frame(int fd, MsgType type,
   COOPCR_CHECK(payload.size() <= kMaxFramePayload, "frame payload too large");
   std::vector<std::uint8_t> frame;
   frame.reserve(6 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u16(frame, static_cast<std::uint16_t>(type));
+  put_le(frame, static_cast<std::uint32_t>(payload.size()));
+  put_le(frame, static_cast<std::uint16_t>(type));
   frame.insert(frame.end(), payload.begin(), payload.end());
-  write_all(fd, frame.data(), frame.size());
+  write_all(fd, frame, "wire");
 }
 
 std::optional<Frame> read_frame(int fd) {
   std::uint8_t head[6];
   if (!read_exact(fd, head, sizeof(head))) return std::nullopt;
-  const std::uint32_t len = get_u32(head);
+  const std::uint32_t len = get_le<std::uint32_t>(head);
   COOPCR_CHECK(len <= kMaxFramePayload,
                "wire frame claims " + std::to_string(len) +
                    " payload bytes — corrupt stream");
@@ -157,7 +139,7 @@ void FrameBuffer::feed(const std::uint8_t* data, std::size_t n) {
 
 std::optional<Frame> FrameBuffer::next() {
   if (buf_.size() < 6) return std::nullopt;
-  const std::uint32_t len = get_u32(buf_.data());
+  const std::uint32_t len = get_le<std::uint32_t>(buf_.data());
   COOPCR_CHECK(len <= kMaxFramePayload,
                "wire frame claims " + std::to_string(len) +
                    " payload bytes — corrupt stream");

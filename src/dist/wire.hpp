@@ -108,6 +108,11 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
+/// Write all of `data` to `fd`, retrying on EINTR and short writes. Throws
+/// coopcr::Error ("<what> write failed: ...") on any write failure.
+void write_all(int fd, const std::vector<std::uint8_t>& data,
+               const std::string& what);
+
 /// Write all of `frame` to `fd` (retrying on EINTR / short writes). Throws
 /// coopcr::Error on any write failure, including EPIPE from a dead peer.
 void write_frame(int fd, MsgType type,

@@ -1,7 +1,5 @@
 #include "exp/executor.hpp"
 
-#include <utility>
-
 #include "dist/dist_runner.hpp"
 #include "exp/sweep_runner.hpp"
 #include "util/error.hpp"
@@ -22,17 +20,8 @@ std::unique_ptr<SweepExecutor> make_sweep_executor(
   switch (options.backend) {
     case ExecutorBackend::kInProcess:
       return std::make_unique<SweepRunner>(options.threads);
-    case ExecutorBackend::kDist: {
-      dist::DistOptions dist_options;
-      dist_options.shards = options.shards;
-      dist_options.journal = options.journal;
-      dist_options.resume = options.resume;
-      dist_options.worker_command = options.worker_command;
-      dist_options.max_respawns = options.max_respawns;
-      dist_options.heartbeat_ms = options.heartbeat_ms;
-      dist_options.fault_plan = options.fault_plan;
-      return std::make_unique<dist::DistSweepRunner>(std::move(dist_options));
-    }
+    case ExecutorBackend::kDist:
+      return std::make_unique<dist::DistSweepRunner>(options.dist);
   }
   throw Error("unknown executor backend");
 }

@@ -13,7 +13,7 @@
 //
 //   exp::ExecutorOptions options;
 //   options.backend = exp::ExecutorBackend::kDist;
-//   options.shards = 4;
+//   options.dist.shards = 4;
 //   auto executor = exp::make_sweep_executor(options);
 //   exp::ExperimentReport report = executor->run(spec);
 //
@@ -24,15 +24,11 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/monte_carlo.hpp"
+#include "dist/dist_options.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
-
-namespace coopcr::dist {
-class FaultPlan;  // dist/fault_injection.hpp — kept out of this header
-}  // namespace coopcr::dist
 
 namespace coopcr::exp {
 
@@ -66,32 +62,17 @@ enum class ExecutorBackend {
 /// coopcr::Error on anything else, naming the value.
 ExecutorBackend executor_backend_from_name(const std::string& name);
 
-/// Backend selection plus the union of both engines' knobs. Fields that do
-/// not apply to the selected backend are ignored.
+/// Backend selection plus each engine's knobs. The knobs of the backend
+/// that is not selected are ignored.
 struct ExecutorOptions {
   ExecutorBackend backend = ExecutorBackend::kInProcess;
 
   /// In-process: thread-pool size; 0 selects hardware concurrency.
   int threads = 0;
 
-  /// Dist: worker process count.
-  int shards = 2;
-  /// Dist: campaign journal path; empty disables journaling.
-  std::string journal;
-  /// Dist: replay `journal`, run only the missing units.
-  bool resume = false;
-  /// Dist: fork+exec worker launch command; empty forks the coordinator.
-  std::vector<std::string> worker_command;
-
-  /// Dist: respawn budget for replacing dead workers mid-campaign.
-  int max_respawns = 0;
-  /// Dist: silent-worker deadline in milliseconds; 0 disables.
-  int heartbeat_ms = 0;
-  /// Dist: scripted fault plan (dist::FaultPlan) — kills, stalls and
-  /// elastic resizes among its actions. Held as shared_ptr so
-  /// single-shot fault actions stay fired across a resume retry loop; the
-  /// CLI builds it from --fault-plan / COOPCR_FAULT_PLAN.
-  std::shared_ptr<dist::FaultPlan> fault_plan;
+  /// Dist: shard count, journal, resume, worker command, respawn budget,
+  /// heartbeat and fault plan (dist/dist_options.hpp).
+  dist::DistOptions dist;
 };
 
 /// Build the selected engine behind the SweepExecutor interface.

@@ -432,7 +432,8 @@ TEST_F(FaultInjectionTest, DroppedTruncatedAndDelayedFramesAreSurvived) {
   EXPECT_EQ(json_bytes(reference), json_bytes(survived));
 }
 
-TEST_F(FaultInjectionTest, ResizeFiredWhileDeliveringDelayedFramesIsByteIdentical) {
+TEST_F(FaultInjectionTest,
+       ResizeFiredWhileDeliveringDelayedFramesIsByteIdentical) {
   // Regression: every worker's first result is held back one poll round,
   // and delivering the first of them fires a grow to 60 shards. The spawns
   // it asks for must not land while the coordinator is still walking the

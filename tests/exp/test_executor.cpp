@@ -51,7 +51,7 @@ TEST(SweepExecutor, FactoryBuildsTheSelectedBackend) {
 
   exp::ExecutorOptions dist;
   dist.backend = exp::ExecutorBackend::kDist;
-  dist.shards = 2;
+  dist.dist.shards = 2;
   EXPECT_EQ(exp::make_sweep_executor(dist)->backend_name(), "dist");
 }
 
@@ -65,7 +65,7 @@ TEST(SweepExecutor, BackendsProduceByteIdenticalReports) {
 
   exp::ExecutorOptions dist;
   dist.backend = exp::ExecutorBackend::kDist;
-  dist.shards = 2;
+  dist.dist.shards = 2;
   const exp::ExperimentReport b = exp::make_sweep_executor(dist)->run(spec);
 
   EXPECT_EQ(json_bytes(a), json_bytes(b));

@@ -144,7 +144,7 @@ TEST(QueryEngine, OutOfHullFallsBackThroughBothBackendsIdentically) {
 
   serve::EngineOptions dist = in_process;
   dist.executor.backend = exp::ExecutorBackend::kDist;
-  dist.executor.shards = 2;
+  dist.executor.dist.shards = 2;
   serve::QueryEngine engine_b(store, dist);
 
   // Bandwidth 160 is outside the [40, 120] hull.
