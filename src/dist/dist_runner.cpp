@@ -68,10 +68,10 @@ void on_shrink_signal(int) { g_shrink_signals = g_shrink_signals + 1; }
 /// spawn point; a death, a resize or a signal only moves the target or a
 /// worker's state, and the round loop calls grow() at its head, where no
 /// walk over the workers is live. The constructor ignores SIGPIPE (a write
-/// to a dead worker must fail, not kill us) and installs the resize signal
-/// handlers without SA_RESTART, so a signal wakes the poll; the destructor
-/// restores them and SIGKILLs and reaps every live worker, so an exception
-/// never leaks processes or fds.
+/// to a dead worker must fail, not kill the coordinator) and installs the
+/// resize signal handlers without SA_RESTART, so a signal wakes the poll;
+/// the destructor restores them and SIGKILLs and reaps every live worker,
+/// so an exception never leaks processes or fds.
 class Fleet {
  public:
   Fleet(const DistOptions& options, const exp::ExperimentSpec& spec,

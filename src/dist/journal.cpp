@@ -390,13 +390,13 @@ void JournalSink::flip(std::uint64_t offset) {
   COOPCR_CHECK(fd >= 0, "cannot open journal for byte flip: " + path_ +
                             ": " + std::strerror(errno));
   std::uint8_t byte = 0;
-  const bool read = ::pread(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
+  const bool in_file = ::pread(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
   byte ^= 0xFF;  // guaranteed corruption, whatever the byte was
   const bool written =
-      read && ::pwrite(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
+      in_file && ::pwrite(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
   ::close(fd);
-  COOPCR_CHECK(read, "journal byte flip offset " + std::to_string(offset) +
-                         " is past the end of " + path_);
+  COOPCR_CHECK(in_file, "journal byte flip offset " + std::to_string(offset) +
+                            " is past the end of " + path_);
   COOPCR_CHECK(written, "journal byte flip write failed: " + path_);
 }
 
