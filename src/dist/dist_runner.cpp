@@ -244,17 +244,15 @@ class Fleet {
 
  private:
   int active() const {  // alive and not draining
-    return static_cast<int>(
-        std::count_if(workers_.begin(), workers_.end(), [](const Worker& w) {
-          return w.alive && !w.draining;
-        }));
+    int n = 0;
+    for (const Worker& w : workers_) n += w.alive && !w.draining;
+    return n;
   }
 
   int idle() const {  // active with no unit in flight
-    return static_cast<int>(
-        std::count_if(workers_.begin(), workers_.end(), [](const Worker& w) {
-          return w.alive && !w.draining && !w.inflight;
-        }));
+    int n = 0;
+    for (const Worker& w : workers_) n += w.alive && !w.draining && !w.inflight;
+    return n;
   }
 
   void spawn() {
