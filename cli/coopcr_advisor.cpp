@@ -58,22 +58,6 @@ int int_arg(const std::string& flag, const char* value) {
   return env::parse_int(flag, value, 0);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 double double_arg(const std::string& flag, const char* value) {
   COOPCR_CHECK(value != nullptr, flag + " needs a value");
   return env::parse_double(flag, value, 0.0);

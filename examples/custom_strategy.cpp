@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   // --- extension level 1: recompose built-in policies ------------------------
   strategy_registry().add(StrategySpec{smallest_first_coordination(),
                                        daly_period(),
-                                       period_minus_commit_offset()});
+                                       RequestOffset::kPeriodMinusCommit});
 
   // --- extension level 2: register a brand-new coordination policy -----------
   const auto largest_first = std::make_shared<const SerialCoordination>(
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       });
   coordination_registry().add(largest_first);
   strategy_registry().add(StrategySpec{largest_first, daly_period(),
-                                       period_minus_commit_offset()});
+                                       RequestOffset::kPeriodMinusCommit});
 
   // Both are now plain names — exactly how a CLI or config file would pick
   // them up.

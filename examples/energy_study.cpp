@@ -36,9 +36,9 @@ int main() {
 
   // The energy-aware period adapts per class: P_E = P_Daly * sqrt(400/200).
   std::cout << "Energy-optimal periods (vs Daly):\n";
-  const auto energy = energy_period();
+  const CheckpointPeriod energy = energy_period();
   for (const ClassOnPlatform& cls : scenario.simulation.classes) {
-    std::cout << "  " << cls.app.name << ": " << energy->period_for(cls)
+    std::cout << "  " << cls.app.name << ": " << energy.period_for(cls)
               << " s vs " << cls.daly_period << " s\n";
   }
 

@@ -4,8 +4,8 @@
 //
 //   1. put a burst buffer in front of the PFS with
 //      ScenarioBuilder::burst_buffer(capacity_factor, bandwidth);
-//   2. turn any strategy into its tiered twin — with_commit(tiered_commit())
-//      or the "-tiered" name suffix ("coop-daly-tiered");
+//   2. turn any strategy into its tiered twin — with_commit(true) or
+//      the "-tiered" name suffix ("coop-daly-tiered");
 //   3. read the commit-path counters (absorbs, drains, fallbacks, drains
 //      lost to failures) and the blocked-commit waste next to the total
 //      waste ratio.
@@ -40,7 +40,7 @@ int main() {
       least_waste(),
       strategy_from_name("coop-daly-tiered"),  // Least-Waste-tiered
       ordered_nb_daly(),
-      ordered_nb_daly().with_commit(tiered_commit()),
+      ordered_nb_daly().with_commit(/*tiered=*/true),
   };
   MonteCarloOptions options = MonteCarloOptions::from_env(4);
   options.keep_results = true;  // per-replica counters for the drain stats

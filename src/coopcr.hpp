@@ -13,11 +13,13 @@
 //                                       MonteCarloOptions::from_env(10));
 //
 // Extension points (no core edits required):
-//  * core/policy.hpp   — implement IoCoordinationPolicy /
-//                        CheckpointPeriodPolicy / RequestOffsetPolicy /
-//                        CommitPolicy and add them to the axis registries;
-//  * core/strategy.hpp — compose a StrategySpec from policies and add it to
-//                        strategy_registry() to make it reachable by name.
+//  * core/policy.hpp   — implement an IoCoordinationPolicy (or wrap a custom
+//                        TokenPolicy in a SerialCoordination) and add it to
+//                        coordination_registry();
+//  * core/strategy.hpp — compose a StrategySpec from a coordination policy,
+//                        a period, a request offset and a commit path, and
+//                        add it to strategy_registry() to make it reachable
+//                        by name.
 //
 // docs/ARCHITECTURE.md has the layer map and the full extension recipe.
 

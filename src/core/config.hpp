@@ -28,8 +28,8 @@ namespace coopcr {
 /// Tiered (burst-buffer) commit-path configuration, resolved by
 /// ScenarioBuilder::build — `capacity` is capacity_factor × the workload's
 /// aggregate checkpoint working set on the final platform. Only consulted
-/// when the run's strategy carries a tiered CommitPolicy; a zero capacity
-/// degrades bit-identically to the direct path.
+/// when the run's strategy commits tiered (StrategySpec::tiered); a zero
+/// capacity degrades bit-identically to the direct path.
 struct BurstBufferConfig {
   double bandwidth = 0.0;        ///< β_bb, bytes/s (0 = no buffer)
   double capacity = 0.0;         ///< resolved fast-tier bytes

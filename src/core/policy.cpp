@@ -5,28 +5,65 @@
 
 namespace coopcr {
 
-// --- coordination -----------------------------------------------------------
+// --- offset -----------------------------------------------------------------
 
-std::string IoCoordinationPolicy::default_offset_name() const {
-  return "P-minus-C";
+std::string to_string(RequestOffset offset) {
+  return offset == RequestOffset::kFullPeriod ? "full-period" : "P-minus-C";
 }
+
+double request_delay(RequestOffset offset, double period,
+                     double commit_seconds) {
+  return offset == RequestOffset::kFullPeriod
+             ? period
+             : std::max(0.0, period - commit_seconds);
+}
+
+// --- period -----------------------------------------------------------------
+
+std::string CheckpointPeriod::name() const {
+  if (rule == Rule::kDaly) return "Daly";
+  if (rule == Rule::kEnergy) return "Energy";
+  if (seconds == units::kHour) return "Fixed";
+  // Compact spelling: integral second counts print without a fraction.
+  const auto whole = static_cast<long long>(seconds);
+  std::string value = static_cast<double>(whole) == seconds
+                          ? std::to_string(whole)
+                          : std::to_string(seconds);
+  return "Fixed@" + value + "s";
+}
+
+double CheckpointPeriod::period_for(const ClassOnPlatform& cls) const {
+  if (rule == Rule::kFixed) return seconds;
+  if (rule == Rule::kDaly) return cls.daly_period;
+  return cls.daly_period *
+         std::sqrt(cls.power.checkpoint_watts / cls.power.compute_watts);
+}
+
+CheckpointPeriod fixed_period(double seconds) {
+  return {CheckpointPeriod::Rule::kFixed, seconds};
+}
+
+CheckpointPeriod daly_period() {
+  return {CheckpointPeriod::Rule::kDaly};
+}
+
+CheckpointPeriod energy_period() {
+  return {CheckpointPeriod::Rule::kEnergy};
+}
+
+// --- coordination -----------------------------------------------------------
 
 SerialCoordination::SerialCoordination(std::string name,
                                        bool non_blocking_wait,
                                        TokenFactory factory,
-                                       std::string default_offset)
+                                       RequestOffset default_offset)
     : name_(std::move(name)),
       non_blocking_wait_(non_blocking_wait),
       factory_(std::move(factory)),
-      default_offset_(std::move(default_offset)) {
+      default_offset_(default_offset) {
   COOPCR_CHECK(!name_.empty(), "coordination policy name must not be empty");
   COOPCR_CHECK(factory_ != nullptr,
                "serialized coordination needs a token-policy factory");
-}
-
-std::string SerialCoordination::default_offset_name() const {
-  return default_offset_.empty() ? IoCoordinationPolicy::default_offset_name()
-                                 : default_offset_;
 }
 
 std::shared_ptr<const IoCoordinationPolicy> oblivious_coordination() {
@@ -61,14 +98,14 @@ std::shared_ptr<const IoCoordinationPolicy> least_waste_coordination(
         return std::make_unique<LeastWastePolicy>(
             ctx.node_mtbf, ctx.pfs_bandwidth, LeastWasteVariant::kPaperEq12);
       },
-      /*default_offset=*/"full-period");
+      RequestOffset::kFullPeriod);
   static const auto marginal = std::make_shared<const SerialCoordination>(
       "Least-Waste:marginal", /*non_blocking_wait=*/true,
       [](const TokenPolicyContext& ctx) {
         return std::make_unique<LeastWastePolicy>(
             ctx.node_mtbf, ctx.pfs_bandwidth, LeastWasteVariant::kMarginal);
       },
-      /*default_offset=*/"full-period");
+      RequestOffset::kFullPeriod);
   return variant == LeastWasteVariant::kPaperEq12 ? paper : marginal;
 }
 
@@ -89,113 +126,17 @@ std::shared_ptr<const IoCoordinationPolicy> smallest_first_coordination() {
   return policy;
 }
 
-// --- period -----------------------------------------------------------------
-
-std::string FixedPeriodPolicy::name() const {
-  if (seconds_ == units::kHour) return "Fixed";
-  // Compact spelling: integral second counts print without a fraction.
-  const auto whole = static_cast<long long>(seconds_);
-  std::string value = static_cast<double>(whole) == seconds_
-                          ? std::to_string(whole)
-                          : std::to_string(seconds_);
-  return "Fixed@" + value + "s";
-}
-
-double DalyPeriodPolicy::period_for(const ClassOnPlatform& cls) const {
-  return cls.daly_period;
-}
-
-double EnergyAwarePeriodPolicy::period_for(const ClassOnPlatform& cls) const {
-  return cls.daly_period *
-         std::sqrt(cls.power.checkpoint_watts / cls.power.compute_watts);
-}
-
-std::shared_ptr<const CheckpointPeriodPolicy> fixed_period(double seconds) {
-  return std::make_shared<const FixedPeriodPolicy>(seconds);
-}
-
-std::shared_ptr<const CheckpointPeriodPolicy> daly_period() {
-  static const auto policy = std::make_shared<const DalyPeriodPolicy>();
-  return policy;
-}
-
-std::shared_ptr<const CheckpointPeriodPolicy> energy_period() {
-  static const auto policy = std::make_shared<const EnergyAwarePeriodPolicy>();
-  return policy;
-}
-
-// --- offset -----------------------------------------------------------------
-
-double PeriodMinusCommitOffset::request_delay(double period,
-                                              double commit_seconds) const {
-  return std::max(0.0, period - commit_seconds);
-}
-
-std::shared_ptr<const RequestOffsetPolicy> period_minus_commit_offset() {
-  static const auto policy =
-      std::make_shared<const PeriodMinusCommitOffset>();
-  return policy;
-}
-
-std::shared_ptr<const RequestOffsetPolicy> full_period_offset() {
-  static const auto policy = std::make_shared<const FullPeriodOffset>();
-  return policy;
-}
-
-// --- commit -----------------------------------------------------------------
-
-std::shared_ptr<const CommitPolicy> direct_commit() {
-  static const auto policy = std::make_shared<const DirectCommitPolicy>();
-  return policy;
-}
-
-std::shared_ptr<const CommitPolicy> tiered_commit() {
-  static const auto policy = std::make_shared<const TieredCommitPolicy>();
-  return policy;
-}
-
 // --- registries -------------------------------------------------------------
 
-PolicyRegistry<IoCoordinationPolicy>& coordination_registry() {
-  static PolicyRegistry<IoCoordinationPolicy>* registry = [] {
-    auto* r = new PolicyRegistry<IoCoordinationPolicy>();
+Registry<std::shared_ptr<const IoCoordinationPolicy>>& coordination_registry() {
+  static auto* registry = [] {
+    auto* r = new Registry<std::shared_ptr<const IoCoordinationPolicy>>();
     r->add(oblivious_coordination());
     r->add(ordered_coordination());
     r->add(ordered_nb_coordination());
     r->add(least_waste_coordination());
     r->add(random_coordination());
     r->add(smallest_first_coordination());
-    return r;
-  }();
-  return *registry;
-}
-
-PolicyRegistry<CheckpointPeriodPolicy>& period_registry() {
-  static PolicyRegistry<CheckpointPeriodPolicy>* registry = [] {
-    auto* r = new PolicyRegistry<CheckpointPeriodPolicy>();
-    r->add("Fixed", [] { return fixed_period(); });
-    r->add(daly_period());
-    r->add(energy_period());
-    return r;
-  }();
-  return *registry;
-}
-
-PolicyRegistry<RequestOffsetPolicy>& offset_registry() {
-  static PolicyRegistry<RequestOffsetPolicy>* registry = [] {
-    auto* r = new PolicyRegistry<RequestOffsetPolicy>();
-    r->add(period_minus_commit_offset());
-    r->add(full_period_offset());
-    return r;
-  }();
-  return *registry;
-}
-
-PolicyRegistry<CommitPolicy>& commit_registry() {
-  static PolicyRegistry<CommitPolicy>* registry = [] {
-    auto* r = new PolicyRegistry<CommitPolicy>();
-    r->add(direct_commit());
-    r->add(tiered_commit());
     return r;
   }();
   return *registry;

@@ -1,29 +1,26 @@
 // coopcr/core/policy.hpp
 //
-// The three orthogonal policy axes a checkpoint/IO scheduling strategy is
-// composed of (paper §3, decomposed):
+// The parts a checkpoint/IO scheduling strategy is composed of (paper §3,
+// decomposed):
 //
-//  * IoCoordinationPolicy   — how I/O is admitted to the PFS (concurrent vs
-//                             token-serialized), whether a job keeps computing
-//                             while its checkpoint request waits, and which
-//                             TokenPolicy arbitrates the token.
-//  * CheckpointPeriodPolicy — how each job's checkpoint period P_i is chosen
-//                             (fixed interval, Young/Daly, ...).
-//  * RequestOffsetPolicy    — when, relative to the previous checkpoint's
-//                             completion, the next checkpoint *request* is
-//                             issued (P - C per §2, or the full period per the
-//                             §3.5 Least-Waste candidate definition).
-//  * CommitPolicy           — where a checkpoint commits: straight to the PFS
-//                             ("direct", the paper's model) or through the
-//                             scenario's burst buffer ("tiered": absorb at
-//                             fast-tier bandwidth, drain asynchronously — the
-//                             §8 storage-tier extension).
+//  * IoCoordinationPolicy — how I/O is admitted to the PFS (concurrent vs
+//                           token-serialized), whether a job keeps computing
+//                           while its checkpoint request waits, and which
+//                           TokenPolicy arbitrates the token. The one open
+//                           axis: an interface with a name-keyed registry,
+//                           so client code (examples, benches, downstream
+//                           users) can add coordination policies without
+//                           touching this file or core/strategy.*.
+//  * CheckpointPeriod     — how each job's checkpoint period P_i is chosen:
+//                           a fixed interval, Young/Daly, or the Aupy et al.
+//                           energy-optimal period. A plain value.
+//  * RequestOffset        — when, relative to the previous checkpoint's
+//                           completion, the next checkpoint *request* is
+//                           issued (P - C per §2, or the full period per the
+//                           §3.5 Least-Waste candidate definition). An enum.
 //
-// Each axis is an interface with a name-keyed factory registry, so new
-// strategies are *registered*, not enumerated: client code (examples, benches,
-// downstream users) can add policies without touching this file or
-// core/strategy.*. A StrategySpec (core/strategy.hpp) composes one policy per
-// axis.
+// The commit path (direct-to-PFS vs tiered through the burst buffer, §8) is
+// a flag on the StrategySpec (core/strategy.hpp) that composes these.
 
 #pragma once
 
@@ -41,6 +38,75 @@
 #include "workload/app_class.hpp"
 
 namespace coopcr {
+
+// ---------------------------------------------------------------------------
+// Checkpoint request offset
+// ---------------------------------------------------------------------------
+
+/// When, relative to the previous checkpoint's completion (or compute
+/// start), the next checkpoint *request* is issued.
+enum class RequestOffset {
+  /// max(0, P - C): completions land exactly P apart in an interference-free
+  /// run (§2). Used by Oblivious / Ordered / Ordered-NB.
+  kPeriodMinusCommit,
+  /// P: matches §3.5's Least-Waste candidate definition, where a pending
+  /// checkpoint candidate always satisfies d_i >= P_Daly(J_i).
+  kFullPeriod,
+};
+
+/// Display name: "P-minus-C" or "full-period".
+std::string to_string(RequestOffset offset);
+
+/// Delay (seconds) until the next request, given the job's period P and
+/// commit time C.
+double request_delay(RequestOffset offset, double period,
+                     double commit_seconds);
+
+// ---------------------------------------------------------------------------
+// Checkpoint period
+// ---------------------------------------------------------------------------
+
+/// How each job's checkpoint period P_i is chosen (§3.4). Build one with
+/// fixed_period(), daly_period() or energy_period().
+struct CheckpointPeriod {
+  enum class Rule {
+    /// A fixed interval for every class — "a common heuristic is to take a
+    /// checkpoint every hour" (§1).
+    kFixed,
+    /// P_Daly(J_i) = sqrt(2 µ_i C_i), precomputed per class at resolve time.
+    kDaly,
+    /// Energy-optimal first-order period following Aupy et al. (*Optimal
+    /// Checkpointing Period: Time vs. Energy*): minimising joules instead
+    /// of seconds replaces the Young/Daly optimum by
+    ///
+    ///     T_opt^E = sqrt(2 µ_i C_i · P_checkpoint / P_compute)
+    ///             = P_Daly(J_i) · sqrt(P_checkpoint / P_compute),
+    ///
+    /// where the draws are the platform's total per-node powers during a
+    /// checkpoint commit and during compute. When the two draws coincide
+    /// the rule degenerates to Daly exactly. The profile is read from the
+    /// *resolved* class, so one rule adapts to whatever PowerProfile the
+    /// swept scenario carries (exp::ExperimentSpec::energy_axis).
+    kEnergy,
+  };
+
+  Rule rule = Rule::kDaly;
+  double seconds = units::kHour;  ///< the kFixed interval; unused otherwise
+
+  /// Display name: "Daly", "Energy", "Fixed" for the one-hour interval, and
+  /// "Fixed@200s" for any other, so differently-parameterised periods never
+  /// alias.
+  std::string name() const;
+
+  /// Checkpoint period (seconds) for a job of the given resolved class.
+  double period_for(const ClassOnPlatform& cls) const;
+
+  bool operator==(const CheckpointPeriod&) const = default;
+};
+
+CheckpointPeriod fixed_period(double seconds = units::kHour);
+CheckpointPeriod daly_period();
+CheckpointPeriod energy_period();
 
 // ---------------------------------------------------------------------------
 // I/O coordination
@@ -75,10 +141,12 @@ class IoCoordinationPolicy {
   virtual std::unique_ptr<TokenPolicy> make_token_policy(
       const TokenPolicyContext& ctx) const = 0;
 
-  /// Registry key of the RequestOffsetPolicy this coordination implies when
-  /// a strategy is assembled by name ("the paper rule": full-period for
-  /// Least-Waste, period-minus-commit for everything else).
-  virtual std::string default_offset_name() const;
+  /// The request offset this coordination implies when a strategy is
+  /// assembled by name ("the paper rule": full-period for Least-Waste,
+  /// period-minus-commit for everything else).
+  virtual RequestOffset default_offset() const {
+    return RequestOffset::kPeriodMinusCommit;
+  }
 };
 
 /// Oblivious (§3.1): no coordination; the channel's interference model
@@ -103,9 +171,9 @@ class SerialCoordination final : public IoCoordinationPolicy {
   using TokenFactory =
       std::function<std::unique_ptr<TokenPolicy>(const TokenPolicyContext&)>;
 
-  SerialCoordination(std::string name, bool non_blocking_wait,
-                     TokenFactory factory,
-                     std::string default_offset = "");
+  SerialCoordination(
+      std::string name, bool non_blocking_wait, TokenFactory factory,
+      RequestOffset default_offset = RequestOffset::kPeriodMinusCommit);
 
   std::string name() const override { return name_; }
   bool serialized() const override { return true; }
@@ -114,13 +182,13 @@ class SerialCoordination final : public IoCoordinationPolicy {
       const TokenPolicyContext& ctx) const override {
     return factory_(ctx);
   }
-  std::string default_offset_name() const override;
+  RequestOffset default_offset() const override { return default_offset_; }
 
  private:
   std::string name_;
   bool non_blocking_wait_;
   TokenFactory factory_;
-  std::string default_offset_;
+  RequestOffset default_offset_;
 };
 
 /// Built-in coordination policies (shared, immutable — cheap to copy around).
@@ -134,191 +202,37 @@ std::shared_ptr<const IoCoordinationPolicy> random_coordination();
 std::shared_ptr<const IoCoordinationPolicy> smallest_first_coordination();
 
 // ---------------------------------------------------------------------------
-// Checkpoint period
-// ---------------------------------------------------------------------------
-
-/// How each job's checkpoint period P_i is chosen (§3.4).
-class CheckpointPeriodPolicy {
- public:
-  virtual ~CheckpointPeriodPolicy() = default;
-
-  /// Registry key and display-name component, e.g. "Daly".
-  virtual std::string name() const = 0;
-
-  /// Checkpoint period (seconds) for a job of the given resolved class.
-  virtual double period_for(const ClassOnPlatform& cls) const = 0;
-};
-
-/// A fixed interval for every class — "a common heuristic is to take a
-/// checkpoint every hour" (§1). The default one-hour interval is named
-/// "Fixed" (the paper's spelling); any other interval carries it in the
-/// name ("Fixed@200s") so differently-parameterised policies never alias.
-class FixedPeriodPolicy final : public CheckpointPeriodPolicy {
- public:
-  explicit FixedPeriodPolicy(double seconds = units::kHour)
-      : seconds_(seconds) {}
-  std::string name() const override;
-  double period_for(const ClassOnPlatform&) const override { return seconds_; }
-  double seconds() const { return seconds_; }
-
- private:
-  double seconds_;
-};
-
-/// P_Daly(J_i) = sqrt(2 µ_i C_i), precomputed per class at resolve time.
-class DalyPeriodPolicy final : public CheckpointPeriodPolicy {
- public:
-  std::string name() const override { return "Daly"; }
-  double period_for(const ClassOnPlatform& cls) const override;
-};
-
-/// Energy-optimal first-order period following Aupy et al. (*Optimal
-/// Checkpointing Period: Time vs. Energy*): minimising joules instead of
-/// seconds replaces the Young/Daly optimum by
-///
-///     T_opt^E = sqrt(2 µ_i C_i · P_checkpoint / P_compute)
-///             = P_Daly(J_i) · sqrt(P_checkpoint / P_compute),
-///
-/// where the draws are the platform's total per-node powers during a
-/// checkpoint commit and during compute (their P_Static + P_I/O and
-/// P_Static + P_Cal). When the two draws coincide the policy degenerates to
-/// Daly exactly. The profile is read from the *resolved* class, so one
-/// registered policy adapts to whatever PowerProfile the swept scenario
-/// carries (exp::ExperimentSpec::energy_axis / power_cap_axis).
-class EnergyAwarePeriodPolicy final : public CheckpointPeriodPolicy {
- public:
-  std::string name() const override { return "Energy"; }
-  double period_for(const ClassOnPlatform& cls) const override;
-};
-
-std::shared_ptr<const CheckpointPeriodPolicy> fixed_period(
-    double seconds = units::kHour);
-std::shared_ptr<const CheckpointPeriodPolicy> daly_period();
-std::shared_ptr<const CheckpointPeriodPolicy> energy_period();
-
-// ---------------------------------------------------------------------------
-// Checkpoint request offset
-// ---------------------------------------------------------------------------
-
-/// When, relative to the previous checkpoint's completion (or compute
-/// start), the next checkpoint *request* is issued.
-class RequestOffsetPolicy {
- public:
-  virtual ~RequestOffsetPolicy() = default;
-
-  /// Registry key, e.g. "P-minus-C".
-  virtual std::string name() const = 0;
-
-  /// Delay (seconds) until the next request, given the job's period P and
-  /// commit time C.
-  virtual double request_delay(double period, double commit_seconds) const = 0;
-};
-
-/// max(0, P - C): completions land exactly P apart in an interference-free
-/// run (§2). Used by Oblivious / Ordered / Ordered-NB.
-class PeriodMinusCommitOffset final : public RequestOffsetPolicy {
- public:
-  std::string name() const override { return "P-minus-C"; }
-  double request_delay(double period, double commit_seconds) const override;
-};
-
-/// P: matches §3.5's Least-Waste candidate definition, where a pending
-/// checkpoint candidate always satisfies d_i >= P_Daly(J_i).
-class FullPeriodOffset final : public RequestOffsetPolicy {
- public:
-  std::string name() const override { return "full-period"; }
-  double request_delay(double period, double) const override { return period; }
-};
-
-std::shared_ptr<const RequestOffsetPolicy> period_minus_commit_offset();
-std::shared_ptr<const RequestOffsetPolicy> full_period_offset();
-
-// ---------------------------------------------------------------------------
-// Checkpoint commit path
-// ---------------------------------------------------------------------------
-
-/// Where a checkpoint commit lands (paper §8, storage-tier extension).
-///
-/// "direct" is the paper's model: the commit transfers straight to the PFS
-/// under the strategy's I/O coordination. "tiered" absorbs the commit into
-/// the scenario's burst buffer (ScenarioBuilder::burst_buffer) at fast-tier
-/// bandwidth — blocking the application only for the absorb — and drains it
-/// to the PFS asynchronously, with drains contending for PFS bandwidth under
-/// the same IoCoordinationPolicy. Un-drained checkpoints are lost when a
-/// failure kills the job (the fast tier is node-local), so restarts resume
-/// from the last *drained* snapshot. When the scenario carries no buffer, or
-/// the buffer lacks free capacity for a commit, the tiered path falls back
-/// to the direct one at PFS speed.
-///
-/// Energy scope: the accounting model charges *job-node* power only, so a
-/// tiered run draws checkpoint watts during the (short) absorb and compute
-/// watts while the drain proceeds in its shadow; the drain's device-side
-/// (buffer/PFS) power is outside the per-node model, as it is for every
-/// transfer. Direct-vs-tiered energy comparisons therefore capture
-/// node-side energy only.
-class CommitPolicy {
- public:
-  virtual ~CommitPolicy() = default;
-
-  /// Registry key and display-name suffix, e.g. "tiered".
-  virtual std::string name() const = 0;
-
-  /// True when checkpoints take the absorb-then-drain path.
-  virtual bool tiered() const = 0;
-};
-
-/// The paper's model: checkpoints commit straight to the PFS.
-class DirectCommitPolicy final : public CommitPolicy {
- public:
-  std::string name() const override { return "direct"; }
-  bool tiered() const override { return false; }
-};
-
-/// Burst-buffer absorb-then-drain commits (§8 extension, stdchk-style).
-class TieredCommitPolicy final : public CommitPolicy {
- public:
-  std::string name() const override { return "tiered"; }
-  bool tiered() const override { return true; }
-};
-
-std::shared_ptr<const CommitPolicy> direct_commit();
-std::shared_ptr<const CommitPolicy> tiered_commit();
-
-// ---------------------------------------------------------------------------
 // Registries
 // ---------------------------------------------------------------------------
 
-/// Name-keyed factory registry for one policy axis. Registering an existing
-/// name replaces the factory (last writer wins), so tests and downstream
-/// code can shadow built-ins.
-template <typename Policy>
-class PolicyRegistry {
+/// Name-keyed factory registry of `T` values (coordination policies,
+/// whole strategies). Registering an existing name replaces the factory
+/// (last writer wins), so tests and downstream code can shadow built-ins.
+template <typename T>
+class Registry {
  public:
-  using Factory = std::function<std::shared_ptr<const Policy>()>;
+  using Factory = std::function<T()>;
 
   void add(const std::string& name, Factory factory) {
-    COOPCR_CHECK(!name.empty(), "policy name must not be empty");
-    COOPCR_CHECK(factory != nullptr, "policy factory must not be null");
+    COOPCR_CHECK(!name.empty(), "registry name must not be empty");
+    COOPCR_CHECK(factory != nullptr, "registry factory must not be null");
     factories_[name] = std::move(factory);
   }
 
-  /// Register a ready-made instance under its own name().
-  void add(std::shared_ptr<const Policy> policy) {
-    COOPCR_CHECK(policy != nullptr, "policy must not be null");
-    const std::string key = policy->name();
-    add(key, [policy] { return policy; });
+  /// Register a ready-made value under its own name().
+  void add(T value) {
+    const std::string key = name_of(value);
+    add(key, [value = std::move(value)] { return value; });
   }
 
   bool contains(const std::string& name) const {
     return factories_.count(name) != 0;
   }
 
-  std::shared_ptr<const Policy> make(const std::string& name) const {
+  T make(const std::string& name) const {
     const auto it = factories_.find(name);
-    COOPCR_CHECK(it != factories_.end(), "unknown policy name: " + name);
-    auto policy = it->second();
-    COOPCR_CHECK(policy != nullptr, "factory for '" + name + "' returned null");
-    return policy;
+    COOPCR_CHECK(it != factories_.end(), "unknown registry name: " + name);
+    return it->second();
   }
 
   /// Registered names in lexicographic order (stable for tables/tests).
@@ -330,15 +244,21 @@ class PolicyRegistry {
   }
 
  private:
+  static std::string name_of(const T& value) {
+    if constexpr (requires { value->name(); }) {
+      COOPCR_CHECK(value != nullptr, "registered value must not be null");
+      return value->name();
+    } else {
+      return value.name();
+    }
+  }
+
   std::map<std::string, Factory> factories_;
 };
 
-/// Process-wide registries, pre-seeded with the built-in policies above.
+/// Process-wide coordination registry, pre-seeded with the built-ins above.
 /// Not synchronized: register custom policies up front, before spawning
 /// Monte Carlo worker threads.
-PolicyRegistry<IoCoordinationPolicy>& coordination_registry();
-PolicyRegistry<CheckpointPeriodPolicy>& period_registry();
-PolicyRegistry<RequestOffsetPolicy>& offset_registry();
-PolicyRegistry<CommitPolicy>& commit_registry();
+Registry<std::shared_ptr<const IoCoordinationPolicy>>& coordination_registry();
 
 }  // namespace coopcr

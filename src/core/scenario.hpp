@@ -64,7 +64,7 @@ class ScenarioBuilder {
   /// `capacity_factor` × the workload's aggregate checkpoint working set
   /// (resolved against the *final* platform at build() time, like every
   /// other deferred knob). The buffer only changes behaviour for strategies
-  /// whose CommitPolicy is tiered; a factor of 0 degrades bit-identically to
+  /// that commit tiered; a factor of 0 degrades bit-identically to
   /// direct commits.
   ScenarioBuilder& burst_buffer(double capacity_factor, double bandwidth);
   /// The two knobs separately — the bb sweep axes edit one at a time.

@@ -75,7 +75,7 @@ class Runner final : private IoListener {
     // token — NVRAM-style buffers are processor-shared among concurrent
     // writers (kConcurrent + kLinear) — while drains go through `io_` and
     // contend under the strategy's coordination policy like any transfer.
-    tiered_ = cfg_.strategy.commit().tiered() && cfg_.burst_buffer.usable();
+    tiered_ = cfg_.strategy.tiered() && cfg_.burst_buffer.usable();
     if (tiered_) {
       if (ws.bb_io) {
         ws.bb_io->reset(cfg_.burst_buffer.bandwidth,
@@ -216,8 +216,8 @@ class Runner final : private IoListener {
   /// Delay from checkpoint completion (or compute start) to the next
   /// checkpoint *request* (DESIGN.md "Checkpoint scheduling").
   double request_delay(const JobRt& rt) const {
-    return cfg_.strategy.offset().request_delay(period_of(rt),
-                                                rt.cls->checkpoint_seconds);
+    return coopcr::request_delay(cfg_.strategy.offset(), period_of(rt),
+                                 rt.cls->checkpoint_seconds);
   }
 
   int routine_chunks(const JobRt& rt) const {
@@ -734,16 +734,7 @@ class Runner final : private IoListener {
     JobRt& rt = running(jid, "failure on unknown job");
     tr(jid, TraceKind::kFailure);
 
-    // Close the open compute interval (if any).
-    if (rt.state == JobState::kComputing ||
-        (rt.state == JobState::kCkptWaitNb && !rt.chunk_blocked)) {
-      close_compute(rt, rt.compute_started_at, engine_.now());
-    }
-    if (rt.chunk_blocked) {
-      result_.accounting.add(rt.job.nodes, TimeCategory::kBlockedWait,
-                             rt.chunk_blocked_since, engine_.now());
-      rt.chunk_blocked = false;
-    }
+    close_open_intervals(rt, engine_.now());
     cancel_event(rt.milestone);
     cancel_event(rt.ckpt_timer);
 
@@ -809,6 +800,20 @@ class Runner final : private IoListener {
     }
   }
 
+  /// Close the job's open compute interval (if any), then its chunk-blocked
+  /// wait, at `t`.
+  void close_open_intervals(JobRt& rt, sim::Time t) {
+    if (rt.state == JobState::kComputing ||
+        (rt.state == JobState::kCkptWaitNb && !rt.chunk_blocked)) {
+      close_compute(rt, rt.compute_started_at, t);
+    }
+    if (rt.chunk_blocked) {
+      result_.accounting.add(rt.job.nodes, TimeCategory::kBlockedWait,
+                             rt.chunk_blocked_since, t);
+      rt.chunk_blocked = false;
+    }
+  }
+
   /// Close every open interval at the stop time so segment-clipped accounting
   /// is complete even though jobs are still running.
   void finalize(sim::Time stop) {
@@ -816,15 +821,7 @@ class Runner final : private IoListener {
     // before `stop`; the allocation integral must still cover the tail.
     note_alloc_change_at(stop);
     for (auto& [jid, rt] : jobs_) {
-      if (rt.state == JobState::kComputing ||
-          (rt.state == JobState::kCkptWaitNb && !rt.chunk_blocked)) {
-        close_compute(rt, rt.compute_started_at, stop);
-      }
-      if (rt.chunk_blocked) {
-        result_.accounting.add(rt.job.nodes, TimeCategory::kBlockedWait,
-                               rt.chunk_blocked_since, stop);
-        rt.chunk_blocked = false;
-      }
+      close_open_intervals(rt, stop);
       if (rt.req.live()) {
         // In-flight transfers continue past the stop time; classify the
         // elapsed part as if it completes (the segment clip removes any

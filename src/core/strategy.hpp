@@ -1,10 +1,10 @@
 // coopcr/core/strategy.hpp
 //
-// A checkpoint/I/O scheduling strategy is the composition of four policy
-// objects (core/policy.hpp): an I/O-coordination policy, a checkpoint-period
-// policy, a request-offset policy and a commit policy (direct-to-PFS vs
-// tiered through the scenario's burst buffer). The paper's seven strategies
-// (§3) are prebuilt compositions:
+// A checkpoint/I/O scheduling strategy is an I/O-coordination policy
+// composed with three plain values (core/policy.hpp): a checkpoint period,
+// a request offset and a commit path (direct-to-PFS, or tiered through the
+// scenario's burst buffer). The paper's seven strategies (§3) are prebuilt
+// compositions:
 //
 //   Oblivious-Fixed   Oblivious-Daly     — uncoordinated, linear interference
 //   Ordered-Fixed     Ordered-Daly       — serialized FCFS, blocking wait
@@ -13,13 +13,12 @@
 //                                          compute while waiting, Daly periods
 //
 // New strategies are *registered*, not enumerated: compose a StrategySpec
-// from registry-backed (or custom) policies and add it to strategy_registry()
-// to make it reachable by name — no edits to this file required.
+// from a built-in or custom coordination policy and add it to
+// strategy_registry() to make it reachable by name — no edits to this file
+// required.
 
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,36 +27,46 @@
 
 namespace coopcr {
 
-/// One fully-specified scheduling strategy: a coordination policy, a period
-/// policy, a request-offset policy, a commit policy and an optional
-/// display-name override (the paper calls "Least-Waste + Daly periods" just
-/// "Least-Waste"). Policies are immutable and shared, so copies are cheap
-/// and thread-safe.
+/// One fully-specified scheduling strategy: a coordination policy, a
+/// period, a request offset, a commit path and an optional display-name
+/// override (the paper calls "Least-Waste + Daly periods" just
+/// "Least-Waste"). The coordination policy is immutable and shared, so
+/// copies are cheap and thread-safe.
 class StrategySpec {
  public:
-  /// The baseline composition: Oblivious coordination with Daly periods.
-  StrategySpec();
-
-  StrategySpec(std::shared_ptr<const IoCoordinationPolicy> coordination,
-               std::shared_ptr<const CheckpointPeriodPolicy> period,
-               std::shared_ptr<const RequestOffsetPolicy> offset,
-               std::string display_name = "");
-
-  StrategySpec(std::shared_ptr<const IoCoordinationPolicy> coordination,
-               std::shared_ptr<const CheckpointPeriodPolicy> period,
-               std::shared_ptr<const RequestOffsetPolicy> offset,
-               std::shared_ptr<const CommitPolicy> commit,
-               std::string display_name = "");
+  /// Defaults to the baseline composition: Oblivious coordination with Daly
+  /// periods, direct commits.
+  StrategySpec(std::shared_ptr<const IoCoordinationPolicy> coordination =
+                   oblivious_coordination(),
+               CheckpointPeriod period = daly_period(),
+               RequestOffset offset = RequestOffset::kPeriodMinusCommit,
+               std::string display_name = "", bool tiered = false);
 
   /// Canonical display name: the override when set, otherwise
-  /// "<coordination>-<period>", e.g. "Ordered-NB-Daly". A non-direct commit
-  /// policy appends its name ("Least-Waste-tiered").
+  /// "<coordination>-<period>", e.g. "Ordered-NB-Daly". A tiered commit
+  /// path appends "-tiered" ("Least-Waste-tiered").
   std::string name() const;
 
   const IoCoordinationPolicy& coordination() const { return *coordination_; }
-  const CheckpointPeriodPolicy& period() const { return *period_; }
-  const RequestOffsetPolicy& offset() const { return *offset_; }
-  const CommitPolicy& commit() const { return *commit_; }
+  const CheckpointPeriod& period() const { return period_; }
+  RequestOffset offset() const { return offset_; }
+
+  /// True when checkpoints commit through the scenario's burst buffer
+  /// (ScenarioBuilder::burst_buffer, the §8 storage-tier extension,
+  /// stdchk-style): each commit is absorbed at fast-tier bandwidth —
+  /// blocking the application only for the absorb — and drained to the PFS
+  /// asynchronously, with drains contending for PFS bandwidth under the
+  /// same coordination policy. Un-drained checkpoints are lost when a
+  /// failure kills the job (the fast tier is node-local), so restarts
+  /// resume from the last *drained* snapshot. Without a buffer, or without
+  /// free capacity for a commit, the tiered path falls back to the direct
+  /// one. False is the paper's model: commits go straight to the PFS.
+  ///
+  /// Energy scope: the accounting model charges *job-node* power only, so a
+  /// tiered run draws checkpoint watts during the (short) absorb and compute
+  /// watts while the drain proceeds in its shadow; the drain's device-side
+  /// power is outside the per-node model, as it is for every transfer.
+  bool tiered() const { return tiered_; }
 
   /// True when the strategy serialises I/O behind a token.
   bool serialized() const { return coordination_->serialized(); }
@@ -69,23 +78,24 @@ class StrategySpec {
   /// Same-composition copy with a different display name.
   StrategySpec named(std::string display_name) const;
 
-  /// Same-composition copy with a different commit policy. A non-direct
-  /// commit extends an explicit display name with its suffix, so
-  /// least_waste().with_commit(tiered_commit()) reads "Least-Waste-tiered".
-  StrategySpec with_commit(std::shared_ptr<const CommitPolicy> commit) const;
+  /// Same-composition copy with the given commit path. A tiered commit
+  /// extends an explicit display name with "-tiered", so
+  /// least_waste().with_commit(/*tiered=*/true) reads "Least-Waste-tiered";
+  /// switching back to direct strips the suffix again.
+  StrategySpec with_commit(bool tiered) const;
 
-  /// Equality is by composition identity: the four policy names plus the
-  /// resolved display name (policies are registered by name, so the name
-  /// tuple identifies the composition).
+  /// Equality is by composition identity: the coordination name, the
+  /// period, the offset, the commit path and the resolved display name
+  /// (coordination policies are registered by name).
   bool operator==(const StrategySpec& other) const;
   bool operator!=(const StrategySpec& other) const { return !(*this == other); }
 
  private:
   std::shared_ptr<const IoCoordinationPolicy> coordination_;
-  std::shared_ptr<const CheckpointPeriodPolicy> period_;
-  std::shared_ptr<const RequestOffsetPolicy> offset_;
-  std::shared_ptr<const CommitPolicy> commit_;
+  CheckpointPeriod period_;
+  RequestOffset offset_;
   std::string display_name_;
+  bool tiered_;
 };
 
 /// Historical alias — most call sites read better with "Strategy".
@@ -103,7 +113,7 @@ StrategySpec least_waste(
     LeastWasteVariant variant = LeastWasteVariant::kPaperEq12);
 
 /// The paper's cooperative (Least-Waste) coordination composed with the
-/// Aupy et al. energy-optimal period policy instead of Daly periods —
+/// Aupy et al. energy-optimal period instead of Daly periods —
 /// registered as "coop-energy". Degenerates to Least-Waste exactly when the
 /// scenario's checkpoint and compute power draws coincide.
 StrategySpec coop_energy();
@@ -115,38 +125,19 @@ const std::vector<StrategySpec>& paper_strategies();
 
 // --- strategy registry ------------------------------------------------------
 
-/// Name-keyed registry of complete strategies. Pre-seeded with the seven
-/// paper strategies (plus the "OrderedNB-*" alias spellings); registering an
-/// existing name replaces it.
-class StrategyRegistry {
- public:
-  using Factory = std::function<StrategySpec()>;
-
-  void add(const std::string& name, Factory factory);
-  /// Register a ready-made spec under its own name().
-  void add(const StrategySpec& spec);
-
-  bool contains(const std::string& name) const;
-  StrategySpec make(const std::string& name) const;
-
-  /// Registered names in lexicographic order.
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
-
-/// Process-wide strategy registry. Not synchronized: register custom
+/// Process-wide registry of complete strategies, pre-seeded with the seven
+/// paper strategies (plus the "OrderedNB-*" alias spellings); registering
+/// an existing name replaces it. Not synchronized: register custom
 /// strategies up front, before spawning Monte Carlo worker threads.
-StrategyRegistry& strategy_registry();
+Registry<StrategySpec>& strategy_registry();
 
 /// Resolve a name into a StrategySpec. Looks up strategy_registry() first;
 /// unregistered names of the form "<coordination>-<period>" (split at the
-/// last '-') are composed from the axis registries with the coordination's
-/// default request offset. A trailing "-<commit>" component naming a
-/// registered commit policy composes the rest of the name with that commit
-/// path, so "coop-daly-tiered" is the registered "coop-daly" (Least-Waste)
-/// composition with burst-buffer commits. Throws on unknown names.
+/// last '-'; the period is "Fixed", "Daly" or "Energy") are composed from
+/// coordination_registry() with the coordination's default request offset.
+/// A trailing "-tiered" composes the rest of the name with burst-buffer
+/// commits, so "coop-daly-tiered" is the registered "coop-daly"
+/// (Least-Waste) composition with tiered commits. Throws on unknown names.
 StrategySpec strategy_from_name(const std::string& name);
 
 }  // namespace coopcr

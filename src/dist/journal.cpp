@@ -11,23 +11,19 @@
 
 #include "dist/wire.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace coopcr::dist {
 
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'O', 'P', 'C', 'R', 'J', '1'};
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 /// Wraps fnv1a64 with typed feeds for the spec digest.
 class Hasher {
  public:
   void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      state_ = (state_ ^ p[i]) * kFnvPrime;
-    }
+    state_ = fnv1a64(data, n, state_);
   }
   void u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
   void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
@@ -44,7 +40,7 @@ class Hasher {
   std::uint64_t digest() const { return state_; }
 
  private:
-  std::uint64_t state_ = kFnvOffset;
+  std::uint64_t state_ = kFnv1a64Offset;
 };
 
 std::vector<std::uint8_t> encode_header_payload(const JournalHeader& header) {
@@ -101,12 +97,6 @@ bool parse_block(const std::vector<std::uint8_t>& data, std::size_t& pos,
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  Hasher h;
-  h.bytes(data, n);
-  return h.digest();
-}
 
 std::uint64_t spec_digest(const exp::ExperimentSpec& spec,
                           const std::vector<exp::GridPoint>& points) {

@@ -67,9 +67,6 @@ inline constexpr const char* kCodeVersion = "coopcr-7";
 /// the header comment).
 inline constexpr std::uint32_t kJournalFormatVersion = 5;
 
-/// FNV-1a 64-bit over `data` (checksums and the spec digest).
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);
-
 /// Order- and content-sensitive digest of a materialised experiment:
 /// spec name, replica count, strategy names, every axis point (name, value
 /// bit pattern, label) and every grid point's scenario seed. Two sweeps

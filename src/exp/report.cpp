@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -12,36 +11,13 @@
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 namespace coopcr::exp {
 
 namespace {
-
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Candlestick summary plus the sample standard error ("se") the serving
 /// layer's interpolation propagates (0 for fewer than 2 samples).

@@ -83,7 +83,7 @@ ExperimentSpec build_ablation_interference(int replicas) {
 ExperimentSpec build_ablation_token_policy(int replicas) {
   const auto chassis = [](auto coordination, const char* name) {
     return StrategySpec{coordination, daly_period(),
-                        period_minus_commit_offset(), name};
+                        RequestOffset::kPeriodMinusCommit, name};
   };
   const std::vector<Strategy> cases = {
       chassis(ordered_nb_coordination(), "fcfs"),
@@ -97,18 +97,18 @@ ExperimentSpec build_ablation_token_policy(int replicas) {
 }
 
 ExperimentSpec build_ablation_candidate_rule(int replicas) {
-  const auto variant = [](LeastWasteVariant v, auto offset, const char* name) {
+  const auto variant = [](LeastWasteVariant v, RequestOffset offset,
+                          const char* name) {
     return StrategySpec{least_waste_coordination(v), daly_period(), offset,
                         name};
   };
   using V = LeastWasteVariant;
+  using O = RequestOffset;
   const std::vector<Strategy> cases = {
-      variant(V::kPaperEq12, full_period_offset(), "P-offset, Eq.(1)/(2)"),
-      variant(V::kMarginal, full_period_offset(), "P-offset, marginal"),
-      variant(V::kPaperEq12, period_minus_commit_offset(),
-              "(P-C)-offset, Eq.(1)/(2)"),
-      variant(V::kMarginal, period_minus_commit_offset(),
-              "(P-C)-offset, marginal"),
+      variant(V::kPaperEq12, O::kFullPeriod, "P-offset, Eq.(1)/(2)"),
+      variant(V::kMarginal, O::kFullPeriod, "P-offset, marginal"),
+      variant(V::kPaperEq12, O::kPeriodMinusCommit, "(P-C)-offset, Eq.(1)/(2)"),
+      variant(V::kMarginal, O::kPeriodMinusCommit, "(P-C)-offset, marginal"),
   };
   ExperimentSpec spec(stressed_cielo(), "ablation_candidate_rule");
   spec.strategies(cases).replicas(replicas);
@@ -120,7 +120,7 @@ ExperimentSpec build_ablation_burst_buffer(int replicas) {
       least_waste(),
       strategy_from_name("coop-daly-tiered"),  // Least-Waste-tiered
       ordered_nb_daly(),
-      ordered_nb_daly().with_commit(tiered_commit()),
+      ordered_nb_daly().with_commit(/*tiered=*/true),
   };
   ExperimentSpec spec(stressed_cielo().bb_bandwidth(units::gb_per_s(400)),
                       "ablation_burst_buffer");

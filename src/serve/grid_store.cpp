@@ -5,8 +5,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "dist/journal.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace coopcr::serve {
 
@@ -120,8 +120,7 @@ bool GridStore::ingest_file(const std::string& path) {
 
 bool GridStore::ingest_text(const std::string& text,
                             const std::string& label) {
-  const std::uint64_t digest = dist::fnv1a64(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
+  const std::uint64_t digest = fnv1a64(text.data(), text.size());
   if (!digests_.insert(digest).second) return false;  // exact duplicate
   merge(exp::parse_report_json(text, label), label);
   return true;

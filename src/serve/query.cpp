@@ -3,40 +3,14 @@
 #include <algorithm>
 #include <sstream>
 
-#include "dist/journal.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace coopcr::serve {
 
 namespace {
-
-/// Minimal JSON string escape (quotes, backslashes, control characters) —
-/// mirrors the report emitter's escape set.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void render_estimate(std::ostream& os, const StrategyEstimate& e) {
   os << "{\"strategy\":\"" << json_escape(e.strategy)
@@ -101,8 +75,7 @@ std::string AdvisorQuery::canonical() const {
 
 std::uint64_t AdvisorQuery::digest() const {
   const std::string text = canonical();
-  return dist::fnv1a64(reinterpret_cast<const std::uint8_t*>(text.data()),
-                       text.size());
+  return fnv1a64(text.data(), text.size());
 }
 
 const StrategyEstimate& AdvisorAnswer::best() const {

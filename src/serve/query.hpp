@@ -72,7 +72,7 @@ struct StrategyEstimate {
 /// A per-application checkpoint period of the recommended strategy.
 struct AppPeriod {
   std::string app;        ///< application class name
-  double seconds = 0.0;   ///< the strategy's period policy at the query point
+  double seconds = 0.0;   ///< the strategy's period at the query point
 };
 
 /// The advisor's versioned answer document.

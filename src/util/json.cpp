@@ -301,6 +301,30 @@ class JsonParser {
   int depth_ = 0;
 };
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[(c >> 4) & 0xF];
+          out += hex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 JsonValue JsonValue::parse(const std::string& text) {
   return JsonParser(text).parse_document();
 }

@@ -1,6 +1,6 @@
 // coopcr/util/json.hpp
 //
-// Minimal JSON reader for the repo's own artifacts.
+// Minimal JSON reader (and string escaper) for the repo's own artifacts.
 //
 // The exp layer emits report JSON (exp/report.cpp) and the serve layer
 // reads it back; the container ships no JSON library, so this is a small
@@ -64,5 +64,11 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<Member> object_;
 };
+
+/// Escape `s` for use inside a JSON string literal: quotes, backslashes,
+/// \n, \r, \t, and every other control byte as \u00XX (lowercase hex).
+/// Every writer of JSON text (report artifacts, advisor answers and error
+/// lines) shares this one escape set, which JsonValue::parse reads back.
+std::string json_escape(const std::string& s);
 
 }  // namespace coopcr

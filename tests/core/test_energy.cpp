@@ -1,7 +1,7 @@
 // The energy accounting subsystem: PowerProfile validation, the
 // TimeCategory -> watts mapping, the per-replica energy identity
 // (joules == sum of category unit-seconds x category watts), the Aupy et al.
-// energy-optimal period policy and its Daly degeneracy, the coop-energy
+// energy-optimal period and its Daly degeneracy, the coop-energy
 // strategy composition, and the ScenarioBuilder power knobs.
 
 #include <gtest/gtest.h>
@@ -107,10 +107,10 @@ TEST(EnergyAwarePeriod, StretchesDalyBySqrtOfThePowerRatio) {
   power.compute_watts = 200.0;
   power.checkpoint_watts = 800.0;  // ratio 4 -> period doubles
   const ScenarioConfig scenario = small_cielo().power_profile(power).build();
-  const auto policy = energy_period();
-  EXPECT_EQ(policy->name(), "Energy");
+  const CheckpointPeriod period = energy_period();
+  EXPECT_EQ(period.name(), "Energy");
   for (const ClassOnPlatform& cls : scenario.simulation.classes) {
-    EXPECT_DOUBLE_EQ(policy->period_for(cls), cls.daly_period * 2.0);
+    EXPECT_DOUBLE_EQ(period.period_for(cls), cls.daly_period * 2.0);
   }
 }
 
@@ -123,11 +123,11 @@ TEST(EnergyAwarePeriod, DegeneratesToDalyWhenDrawsCoincide) {
   const ScenarioConfig scenario = small_cielo().power_profile(flat).build();
   for (const ClassOnPlatform& cls : scenario.simulation.classes) {
     // sqrt(218/218) == 1.0 exactly, so the periods are bit-identical.
-    EXPECT_EQ(energy_period()->period_for(cls), cls.daly_period);
+    EXPECT_EQ(energy_period().period_for(cls), cls.daly_period);
   }
   // ... and therefore the whole coop-energy simulation is bit-identical to
   // Least-Waste (the only difference between the compositions is the
-  // period policy). This is the fig4 r = 1 degeneracy, asserted exactly.
+  // period). This is the fig4 r = 1 degeneracy, asserted exactly.
   const ReplicaRun coop = run_replica(scenario, coop_energy(), 0);
   const ReplicaRun lw = run_replica(scenario, least_waste(), 0);
   EXPECT_EQ(coop.waste_ratio, lw.waste_ratio);
@@ -162,22 +162,21 @@ TEST(CoopEnergyStrategy, ResolvesFromTheRegistries) {
   const StrategySpec direct = coop_energy();
   EXPECT_EQ(direct.name(), "coop-energy");
   EXPECT_EQ(direct.coordination().name(), "Least-Waste");
-  EXPECT_EQ(direct.period().name(), "Energy");
-  EXPECT_EQ(direct.offset().name(), "full-period");
+  EXPECT_EQ(direct.period(), energy_period());
+  EXPECT_EQ(direct.offset(), RequestOffset::kFullPeriod);
   EXPECT_TRUE(direct.serialized());
   EXPECT_TRUE(direct.non_blocking_wait());
 
   // Registered under its own name...
   EXPECT_TRUE(strategy_registry().contains("coop-energy"));
   EXPECT_EQ(strategy_from_name("coop-energy"), direct);
-  // ...and the period policy composes by name through the axis fallback.
-  EXPECT_TRUE(period_registry().contains("Energy"));
+  // ...and the Energy period composes by name through the fallback.
   const StrategySpec composed = strategy_from_name("Least-Waste-Energy");
-  EXPECT_EQ(composed.period().name(), "Energy");
-  EXPECT_EQ(composed.offset().name(), "full-period");
+  EXPECT_EQ(composed.period(), energy_period());
+  EXPECT_EQ(composed.offset(), RequestOffset::kFullPeriod);
   const StrategySpec ordered = strategy_from_name("Ordered-Energy");
   EXPECT_EQ(ordered.coordination().name(), "Ordered");
-  EXPECT_EQ(ordered.offset().name(), "P-minus-C");
+  EXPECT_EQ(ordered.offset(), RequestOffset::kPeriodMinusCommit);
 }
 
 TEST(ScenarioBuilderPower, ProfileOverrideSurvivesLaterPlatformCall) {
@@ -190,7 +189,7 @@ TEST(ScenarioBuilderPower, ProfileOverrideSurvivesLaterPlatformCall) {
                                    .node_mtbf(units::years(2))
                                    .build();
   EXPECT_EQ(built.platform.power.compute_watts, 321.0);
-  // The resolved classes carry the override too (the period policy reads it).
+  // The resolved classes carry the override too (the Energy period reads it).
   for (const ClassOnPlatform& cls : built.simulation.classes) {
     EXPECT_EQ(cls.power.compute_watts, 321.0);
   }

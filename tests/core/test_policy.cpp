@@ -1,9 +1,13 @@
-// Unit tests for the policy axes (core/policy.hpp): built-in behaviour,
-// token-policy construction, and the name-keyed axis registries.
+// Unit tests for the strategy parts (core/policy.hpp): period and offset
+// values, token-policy construction, and the name-keyed registry.
 
 #include "core/policy.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -18,40 +22,56 @@ ClassOnPlatform stub_class(double daly, double commit) {
   return cls;
 }
 
-// --- period policies --------------------------------------------------------
+// --- periods ----------------------------------------------------------------
 
-TEST(PeriodPolicy, FixedReturnsConfiguredSeconds) {
-  const FixedPeriodPolicy hourly;
+TEST(CheckpointPeriod, FixedReturnsConfiguredSeconds) {
+  const CheckpointPeriod hourly = fixed_period();
+  EXPECT_EQ(hourly.rule, CheckpointPeriod::Rule::kFixed);
   EXPECT_EQ(hourly.name(), "Fixed");
   EXPECT_DOUBLE_EQ(hourly.period_for(stub_class(123.0, 5.0)), units::kHour);
-  const FixedPeriodPolicy custom(200.0);
+  const CheckpointPeriod custom = fixed_period(200.0);
   EXPECT_DOUBLE_EQ(custom.period_for(stub_class(123.0, 5.0)), 200.0);
 }
 
-TEST(PeriodPolicy, NonDefaultFixedPeriodIsNamed) {
-  // Parameters are part of the name, so differently-configured policies
+TEST(CheckpointPeriod, NonDefaultFixedPeriodIsNamed) {
+  // Parameters are part of the name, so differently-configured periods
   // never alias under name-based identity.
-  EXPECT_EQ(FixedPeriodPolicy(200.0).name(), "Fixed@200s");
-  EXPECT_EQ(FixedPeriodPolicy(units::kHour).name(), "Fixed");
+  EXPECT_EQ(fixed_period(200.0).name(), "Fixed@200s");
+  EXPECT_EQ(fixed_period(units::kHour).name(), "Fixed");
+  EXPECT_FALSE(fixed_period(200.0) == fixed_period());
 }
 
-TEST(PeriodPolicy, DalyReadsResolvedClass) {
-  const DalyPeriodPolicy daly;
+TEST(CheckpointPeriod, DalyReadsResolvedClass) {
+  const CheckpointPeriod daly = daly_period();
+  EXPECT_EQ(daly.rule, CheckpointPeriod::Rule::kDaly);
   EXPECT_EQ(daly.name(), "Daly");
   EXPECT_DOUBLE_EQ(daly.period_for(stub_class(105.0, 5.0)), 105.0);
 }
 
-// --- offset policies --------------------------------------------------------
-
-TEST(OffsetPolicy, PeriodMinusCommitClampsAtZero) {
-  const PeriodMinusCommitOffset offset;
-  EXPECT_DOUBLE_EQ(offset.request_delay(105.0, 5.0), 100.0);
-  EXPECT_DOUBLE_EQ(offset.request_delay(3.0, 5.0), 0.0);
+TEST(CheckpointPeriod, EnergyStretchesDalyByThePowerRatio) {
+  ClassOnPlatform cls = stub_class(105.0, 5.0);
+  cls.power.compute_watts = 100.0;
+  cls.power.checkpoint_watts = 400.0;
+  const CheckpointPeriod energy = energy_period();
+  EXPECT_EQ(energy.rule, CheckpointPeriod::Rule::kEnergy);
+  EXPECT_EQ(energy.name(), "Energy");
+  EXPECT_DOUBLE_EQ(energy.period_for(cls), 210.0);
+  EXPECT_FALSE(energy == daly_period());
 }
 
-TEST(OffsetPolicy, FullPeriodIgnoresCommit) {
-  const FullPeriodOffset offset;
-  EXPECT_DOUBLE_EQ(offset.request_delay(105.0, 5.0), 105.0);
+// --- offsets ----------------------------------------------------------------
+
+TEST(RequestOffset, PeriodMinusCommitClampsAtZero) {
+  const RequestOffset offset = RequestOffset::kPeriodMinusCommit;
+  EXPECT_EQ(to_string(offset), "P-minus-C");
+  EXPECT_DOUBLE_EQ(request_delay(offset, 105.0, 5.0), 100.0);
+  EXPECT_DOUBLE_EQ(request_delay(offset, 3.0, 5.0), 0.0);
+}
+
+TEST(RequestOffset, FullPeriodIgnoresCommit) {
+  const RequestOffset offset = RequestOffset::kFullPeriod;
+  EXPECT_EQ(to_string(offset), "full-period");
+  EXPECT_DOUBLE_EQ(request_delay(offset, 105.0, 5.0), 105.0);
 }
 
 // --- coordination policies --------------------------------------------------
@@ -80,8 +100,10 @@ TEST(CoordinationPolicy, LeastWasteBuildsConfiguredArbiter) {
   const auto token = least_waste_coordination()->make_token_policy(ctx);
   ASSERT_NE(token, nullptr);
   EXPECT_EQ(token->name(), "least-waste");
-  EXPECT_EQ(least_waste_coordination()->default_offset_name(), "full-period");
-  EXPECT_EQ(ordered_coordination()->default_offset_name(), "P-minus-C");
+  EXPECT_EQ(least_waste_coordination()->default_offset(),
+            RequestOffset::kFullPeriod);
+  EXPECT_EQ(ordered_coordination()->default_offset(),
+            RequestOffset::kPeriodMinusCommit);
 }
 
 TEST(CoordinationPolicy, AblationBaselinesAreSerializedNonBlocking) {
@@ -94,56 +116,34 @@ TEST(CoordinationPolicy, AblationBaselinesAreSerializedNonBlocking) {
   }
 }
 
-// --- registries -------------------------------------------------------------
+// --- registry ---------------------------------------------------------------
 
-TEST(PolicyRegistryTest, BuiltinsArePreSeeded) {
+TEST(RegistryTest, BuiltinCoordinationsArePreSeeded) {
   for (const char* name : {"Oblivious", "Ordered", "Ordered-NB", "Least-Waste",
                            "Random", "Smallest-First"}) {
-    EXPECT_TRUE(coordination_registry().contains(name)) << name;
+    ASSERT_TRUE(coordination_registry().contains(name)) << name;
+    EXPECT_EQ(coordination_registry().make(name)->name(), name);
   }
-  EXPECT_TRUE(period_registry().contains("Fixed"));
-  EXPECT_TRUE(period_registry().contains("Daly"));
-  EXPECT_TRUE(offset_registry().contains("P-minus-C"));
-  EXPECT_TRUE(offset_registry().contains("full-period"));
-  EXPECT_TRUE(commit_registry().contains("direct"));
-  EXPECT_TRUE(commit_registry().contains("tiered"));
 }
 
-TEST(PolicyRegistryTest, MakeThrowsOnUnknownName) {
+TEST(RegistryTest, MakeThrowsOnUnknownName) {
   EXPECT_THROW(coordination_registry().make("nope"), Error);
-  EXPECT_THROW(period_registry().make("nope"), Error);
-  EXPECT_THROW(offset_registry().make("nope"), Error);
-  EXPECT_THROW(commit_registry().make("nope"), Error);
+  Registry<std::shared_ptr<const IoCoordinationPolicy>> empty;
+  EXPECT_THROW(empty.make("Oblivious"), Error);
+  EXPECT_THROW(empty.add(nullptr), Error);
 }
 
-TEST(CommitPolicy, DirectAndTieredClassify) {
-  EXPECT_EQ(direct_commit()->name(), "direct");
-  EXPECT_FALSE(direct_commit()->tiered());
-  EXPECT_EQ(tiered_commit()->name(), "tiered");
-  EXPECT_TRUE(tiered_commit()->tiered());
-  EXPECT_TRUE(commit_registry().make("tiered")->tiered());
-}
-
-TEST(PolicyRegistryTest, CustomPeriodPolicyReachableByName) {
-  // An energy-aware-style custom period: a scaled Daly period, registered on
-  // the axis without touching core files.
-  class ScaledDaly final : public CheckpointPeriodPolicy {
-   public:
-    std::string name() const override { return "Test-ScaledDaly"; }
-    double period_for(const ClassOnPlatform& cls) const override {
-      return 2.0 * cls.daly_period;
-    }
-  };
-  period_registry().add("Test-ScaledDaly",
-                        [] { return std::make_shared<const ScaledDaly>(); });
-  ASSERT_TRUE(period_registry().contains("Test-ScaledDaly"));
-  const auto policy = period_registry().make("Test-ScaledDaly");
-  EXPECT_DOUBLE_EQ(policy->period_for(stub_class(105.0, 5.0)), 210.0);
-}
-
-TEST(PolicyRegistryTest, NamesAreSortedAndComplete) {
-  const auto names = offset_registry().names();
-  ASSERT_GE(names.size(), 2u);
+TEST(RegistryTest, NamesAreSortedAndLastWriterWins) {
+  Registry<std::shared_ptr<const IoCoordinationPolicy>> registry;
+  registry.add(ordered_coordination());
+  registry.add(oblivious_coordination());
+  EXPECT_EQ(registry.names(),
+            (std::vector<std::string>{"Oblivious", "Ordered"}));
+  // Re-registering a name shadows the earlier factory.
+  registry.add("Ordered", [] { return ordered_nb_coordination(); });
+  EXPECT_EQ(registry.make("Ordered")->name(), "Ordered-NB");
+  EXPECT_EQ(registry.names().size(), 2u);
+  const auto names = coordination_registry().names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 

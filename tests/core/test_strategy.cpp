@@ -48,10 +48,10 @@ TEST(Strategy, SerializedClassification) {
 TEST(Strategy, PaperOffsetsFollowSection35) {
   // Least-Waste issues requests a full period after the previous commit
   // (§3.5 candidate definition); everything else uses P - C (§2).
-  EXPECT_EQ(least_waste().offset().name(), "full-period");
+  EXPECT_EQ(least_waste().offset(), RequestOffset::kFullPeriod);
   for (const auto& s : paper_strategies()) {
     if (s.name() == "Least-Waste") continue;
-    EXPECT_EQ(s.offset().name(), "P-minus-C") << s.name();
+    EXPECT_EQ(s.offset(), RequestOffset::kPeriodMinusCommit) << s.name();
   }
 }
 
@@ -104,13 +104,14 @@ TEST(Strategy, NonCanonicalNbAliasesResolve) {
   EXPECT_TRUE(strategy_from_name("OrderedNB-Daly") == ordered_nb_daly());
 }
 
-TEST(Strategy, CompositionalFallbackUsesAxisRegistries) {
-  // "Smallest-First-Daly" is not a registered *strategy*, but both axis
-  // names are registered, so the compositional fallback assembles it.
+TEST(Strategy, CompositionalFallbackUsesCoordinationRegistry) {
+  // "Smallest-First-Daly" is not a registered *strategy*, but the
+  // coordination is registered and "Daly" names a period, so the
+  // compositional fallback assembles it.
   const StrategySpec s = strategy_from_name("Smallest-First-Daly");
   EXPECT_EQ(s.coordination().name(), "Smallest-First");
-  EXPECT_EQ(s.period().name(), "Daly");
-  EXPECT_EQ(s.offset().name(), "P-minus-C");
+  EXPECT_EQ(s.period(), daly_period());
+  EXPECT_EQ(s.offset(), RequestOffset::kPeriodMinusCommit);
   EXPECT_TRUE(s.serialized());
 }
 
@@ -119,32 +120,33 @@ TEST(Strategy, UnknownNameThrows) {
   EXPECT_THROW(strategy_from_name("Magic-Daly"), Error);
   EXPECT_THROW(strategy_from_name("Oblivious-Magic"), Error);
   EXPECT_THROW(strategy_from_name("Magic-tiered"), Error);
+  EXPECT_THROW(strategy_from_name("Oblivious-Fixed@200s"), Error);
+  EXPECT_THROW(strategy_from_name("Oblivious-daly"), Error);
 }
 
 // --- commit axis -------------------------------------------------------------
 
 TEST(Strategy, DefaultCommitIsDirect) {
   for (const auto& s : paper_strategies()) {
-    EXPECT_EQ(s.commit().name(), "direct") << s.name();
-    EXPECT_FALSE(s.commit().tiered()) << s.name();
+    EXPECT_FALSE(s.tiered()) << s.name();
   }
 }
 
 TEST(Strategy, WithCommitExtendsDisplayName) {
-  const StrategySpec tiered = least_waste().with_commit(tiered_commit());
+  const StrategySpec tiered = least_waste().with_commit(/*tiered=*/true);
   EXPECT_EQ(tiered.name(), "Least-Waste-tiered");
-  EXPECT_TRUE(tiered.commit().tiered());
+  EXPECT_TRUE(tiered.tiered());
   EXPECT_TRUE(tiered != least_waste());
   // Composed (override-free) names get the suffix too.
-  EXPECT_EQ(ordered_nb_daly().with_commit(tiered_commit()).name(),
+  EXPECT_EQ(ordered_nb_daly().with_commit(/*tiered=*/true).name(),
             "Ordered-NB-Daly-tiered");
   // Re-applying the direct commit changes nothing.
-  EXPECT_TRUE(least_waste().with_commit(direct_commit()) == least_waste());
+  EXPECT_TRUE(least_waste().with_commit(/*tiered=*/false) == least_waste());
   // Switching a tiered spec back to direct strips the suffix again, so the
   // name keeps telling the truth about the commit path.
-  EXPECT_TRUE(tiered.with_commit(direct_commit()) == least_waste());
-  EXPECT_EQ(tiered.with_commit(direct_commit()).name(), "Least-Waste");
-  EXPECT_TRUE(tiered.with_commit(tiered_commit()) == tiered);
+  EXPECT_TRUE(tiered.with_commit(/*tiered=*/false) == least_waste());
+  EXPECT_EQ(tiered.with_commit(/*tiered=*/false).name(), "Least-Waste");
+  EXPECT_TRUE(tiered.with_commit(/*tiered=*/true) == tiered);
 }
 
 TEST(Strategy, CommitSuffixResolvesThroughRegistryAliases) {
@@ -154,23 +156,42 @@ TEST(Strategy, CommitSuffixResolvesThroughRegistryAliases) {
   EXPECT_TRUE(coop == least_waste());
   const StrategySpec tiered = strategy_from_name("coop-daly-tiered");
   EXPECT_EQ(tiered.name(), "Least-Waste-tiered");
-  EXPECT_TRUE(tiered.commit().tiered());
+  EXPECT_TRUE(tiered.tiered());
   EXPECT_EQ(tiered.coordination().name(), "Least-Waste");
-  EXPECT_EQ(tiered.period().name(), "Daly");
-  EXPECT_EQ(tiered.offset().name(), "full-period");
-  // The suffix also composes with the axis-registry fallback.
+  EXPECT_EQ(tiered.period(), daly_period());
+  EXPECT_EQ(tiered.offset(), RequestOffset::kFullPeriod);
+  // The suffix also composes with the compositional fallback.
   const StrategySpec composed = strategy_from_name("Ordered-NB-Daly-tiered");
   EXPECT_TRUE(composed ==
               strategy_from_name("Ordered-NB-Daly").with_commit(
-                  tiered_commit()));
+                  /*tiered=*/true));
 }
 
 TEST(Strategy, TieredNamesRoundTrip) {
-  for (const char* name :
-       {"Least-Waste-tiered", "Ordered-Daly-tiered", "coop-energy-tiered"}) {
-    const StrategySpec s = strategy_from_name(name);
-    EXPECT_TRUE(s.commit().tiered()) << name;
-    EXPECT_TRUE(strategy_from_name(s.name()) == s) << name;
+  struct Case {
+    const char* name;
+    CheckpointPeriod period;
+    RequestOffset offset;
+    bool tiered;
+  };
+  using O = RequestOffset;
+  const Case cases[] = {
+      {"Least-Waste-tiered", daly_period(), O::kFullPeriod, true},
+      {"Ordered-Daly-tiered", daly_period(), O::kPeriodMinusCommit, true},
+      {"coop-energy-tiered", energy_period(), O::kFullPeriod, true},
+      {"Random-Fixed", fixed_period(), O::kPeriodMinusCommit, false},
+      {"Smallest-First-Energy", energy_period(), O::kPeriodMinusCommit, false},
+      // The offset comes from the coordination, not from the period.
+      {"Least-Waste-Daly", daly_period(), O::kFullPeriod, false},
+      {"Random-Energy-tiered", energy_period(), O::kPeriodMinusCommit, true},
+  };
+  for (const Case& c : cases) {
+    const StrategySpec s = strategy_from_name(c.name);
+    EXPECT_EQ(s.name(), c.name);
+    EXPECT_EQ(s.period(), c.period) << c.name;
+    EXPECT_EQ(s.offset(), c.offset) << c.name;
+    EXPECT_EQ(s.tiered(), c.tiered) << c.name;
+    EXPECT_TRUE(strategy_from_name(s.name()) == s) << c.name;
   }
 }
 
@@ -180,12 +201,12 @@ TEST(StrategyRegistryTest, RegisteredCustomStrategyIsReachableByName) {
   ASSERT_FALSE(strategy_registry().contains("Test-Custom"));
   strategy_registry().add(
       StrategySpec{smallest_first_coordination(), daly_period(),
-                   full_period_offset(), "Test-Custom"});
+                   RequestOffset::kFullPeriod, "Test-Custom"});
   ASSERT_TRUE(strategy_registry().contains("Test-Custom"));
   const StrategySpec s = strategy_from_name("Test-Custom");
   EXPECT_EQ(s.name(), "Test-Custom");
   EXPECT_EQ(s.coordination().name(), "Smallest-First");
-  EXPECT_EQ(s.offset().name(), "full-period");
+  EXPECT_EQ(s.offset(), RequestOffset::kFullPeriod);
 }
 
 TEST(StrategyRegistryTest, CustomCoordinationPolicyComposesByName) {

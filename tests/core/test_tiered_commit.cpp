@@ -57,7 +57,7 @@ TEST(TieredCommit, ZeroCapacityDegradesBitIdenticallyToDirect) {
       reduced_cielo().burst_buffer(0.0, units::gb_per_s(400)).build();
   const ReplicaRun a = run_replica(direct, least_waste(), /*replica=*/0);
   const ReplicaRun b = run_replica(
-      zero_cap, least_waste().with_commit(tiered_commit()), /*replica=*/0);
+      zero_cap, least_waste().with_commit(/*tiered=*/true), /*replica=*/0);
   expect_same_run(a, b);
   EXPECT_EQ(b.result.counters.bb_absorbs, 0u);
   EXPECT_EQ(b.result.counters.bb_fallbacks, 0u);  // no usable buffer at all
@@ -67,7 +67,7 @@ TEST(TieredCommit, NoBufferConfiguredDegradesBitIdenticallyToDirect) {
   const ScenarioConfig scenario = reduced_cielo().build();
   const ReplicaRun a = run_replica(scenario, ordered_nb_daly(), 0);
   const ReplicaRun b = run_replica(
-      scenario, ordered_nb_daly().with_commit(tiered_commit()), 0);
+      scenario, ordered_nb_daly().with_commit(/*tiered=*/true), 0);
   expect_same_run(a, b);
 }
 
@@ -84,7 +84,7 @@ TEST(TieredCommit, CapacityBelowEveryCheckpointFallsBackToPfs) {
   }
   const ReplicaRun a = run_replica(direct, least_waste(), 0);
   const ReplicaRun b =
-      run_replica(tiny, least_waste().with_commit(tiered_commit()), 0);
+      run_replica(tiny, least_waste().with_commit(/*tiered=*/true), 0);
   expect_same_run(a, b);
   EXPECT_EQ(b.result.counters.bb_absorbs, 0u);
   EXPECT_GT(b.result.counters.bb_fallbacks, 0u);
@@ -98,7 +98,7 @@ TEST(TieredCommit, TieredReducesBlockedCommitWaste) {
       reduced_cielo().burst_buffer(2.0, units::gb_per_s(400)).build();
   const ReplicaRun a = run_replica(direct, least_waste(), 0);
   const ReplicaRun b =
-      run_replica(tiered, least_waste().with_commit(tiered_commit()), 0);
+      run_replica(tiered, least_waste().with_commit(/*tiered=*/true), 0);
   EXPECT_GT(b.result.counters.bb_absorbs, 0u);
   EXPECT_GT(b.result.counters.bb_drains_completed, 0u);
   EXPECT_LT(b.result.accounting.total(TimeCategory::kCheckpoint),
@@ -157,7 +157,8 @@ struct MicroScenario {
 
   StrategySpec strategy() const {
     return StrategySpec{ordered_coordination(), fixed_period(200.0),
-                        period_minus_commit_offset(), tiered_commit()};
+                        RequestOffset::kPeriodMinusCommit, "",
+                        /*tiered=*/true};
   }
 
   /// `horizon` trims the run for exact-count assertions: shortly after the

@@ -19,6 +19,7 @@
 #include "dist/journal.hpp"
 #include "dist/wire.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace coopcr::dist {
 namespace {

@@ -1,7 +1,8 @@
 // util/json.hpp parser: the exact grammar the report emitter writes —
 // object member order, the emitter's escape set, 17-digit number
 // round-trips — plus strictness (trailing garbage, bad escapes, typed
-// accessor errors with useful messages).
+// accessor errors with useful messages), and json_escape round-tripping
+// through the parser.
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,21 @@ TEST(Json, DecodesTheEmitterEscapeSet) {
   const JsonValue doc = JsonValue::parse(
       "{\"s\":\"a\\\"b\\\\c\\nd\\te\\u0041\\u0009\"}");
   EXPECT_EQ(doc.at("s").as_string(), "a\"b\\c\nd\teA\t");
+}
+
+TEST(Json, EscapeRoundTripsEveryControlByte) {
+  std::string original = "a\"b\\c";
+  for (int c = 0x00; c < 0x20; ++c) original += static_cast<char>(c);
+  original += "z";
+  const std::string escaped = json_escape(original);
+  for (const char c : escaped) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  }
+  EXPECT_NE(escaped.find("\\u0001"), std::string::npos);  // lowercase hex
+  EXPECT_NE(escaped.find("\\u001f"), std::string::npos);
+  EXPECT_NE(escaped.find("\\n"), std::string::npos);
+  const JsonValue parsed = JsonValue::parse("\"" + escaped + "\"");
+  EXPECT_EQ(parsed.as_string(), original);
 }
 
 TEST(Json, RejectsMalformedDocuments) {

@@ -1,4 +1,5 @@
-// Unit tests for units, CSV writer, table printer and error macros.
+// Unit tests for units, CSV writer, table printer, error macros and the
+// FNV-1a hash.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -110,6 +112,29 @@ TEST(Table, RejectsArityMismatch) {
 TEST(Table, FmtFixedPoint) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(2.0, 0), "2");
+}
+
+// --- hash --------------------------------------------------------------------
+
+TEST(Fnv1a64, StepMatchesPublishedTestVectors) {
+  // Reference values from the FNV specification's test suite, seeded with
+  // the published offset basis.
+  constexpr std::uint64_t kPublishedOffset = 0xcbf29ce484222325ull;
+  EXPECT_EQ(fnv1a64("a", 1, kPublishedOffset), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar", 6, kPublishedOffset), 0x85944171f73967e8ull);
+}
+
+TEST(Fnv1a64, DefaultOffsetIsPinned) {
+  // Journal checksums, spec/grid digests and query-cache keys were all
+  // written with this basis; changing it would orphan every journal.
+  EXPECT_EQ(kFnv1a64Offset, 1469598103934665603ull);
+  EXPECT_EQ(fnv1a64("", 0), kFnv1a64Offset);
+  EXPECT_EQ(fnv1a64("a", 1), 4953267810257967366ull);
+}
+
+TEST(Fnv1a64, ChainedPiecesEqualOneCall) {
+  const std::uint64_t head = fnv1a64("foo", 3);
+  EXPECT_EQ(fnv1a64("bar", 3, head), fnv1a64("foobar", 6));
 }
 
 }  // namespace
