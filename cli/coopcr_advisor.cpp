@@ -4,9 +4,9 @@
 // JSON query per stdin line, one versioned JSON answer per stdout line.
 // Answers come from multilinear interpolation over the ingested grids when
 // the query point is inside the hull, and from an on-demand fallback
-// campaign (through the exp::SweepExecutor backend selected by --backend /
-// --shards) when it is not. Repeated queries hit the digest-keyed LRU
-// cache and return byte-identical answer text.
+// campaign (through the exp::SweepExecutor engine selected by --shards)
+// when it is not. Repeated queries hit the LRU cache, keyed by the
+// canonical query text, and return byte-identical answer text.
 //
 //   coopcr_sweep --spec demo --replicas 8 --out artifacts/
 //   echo '{"coords":{"pfs_bandwidth_gbps":80,"interference_alpha":0.5}}' |
@@ -41,10 +41,9 @@ void usage(std::ostream& os) {
         "grid's own count)\n"
         "  --target-ci W      fallback campaigns grow replicas until every "
         "95% CI width is <= W, on either backend (default: fixed count)\n"
-        "  --backend NAME     fallback engine: inprocess | dist (default "
-        "inprocess)\n"
-        "  --shards N         dist backend worker processes (default 2)\n"
-        "  --threads N        in-process backend threads; 0 = hardware "
+        "  --shards N         fallback engine: 0 runs in-process, N > 0 "
+        "across N worker processes (default 0)\n"
+        "  --threads N        in-process engine threads; 0 = hardware "
         "concurrency\n"
         "  --cache N          answer cache capacity; 0 disables (default "
         "256)\n"
@@ -92,14 +91,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--target-ci") {
         options.engine.fallback_target_ci = double_arg(arg, next);
         ++i;
-      } else if (arg == "--backend") {
-        COOPCR_CHECK(next, "--backend needs a value");
-        options.engine.executor.backend = exp::executor_backend_from_name(next);
-        ++i;
       } else if (arg == "--shards") {
         options.engine.executor.dist.shards = int_arg(arg, next);
-        COOPCR_CHECK(options.engine.executor.dist.shards >= 1,
-                     "--shards must be >= 1");
         ++i;
       } else if (arg == "--threads") {
         options.engine.executor.threads = int_arg(arg, next);

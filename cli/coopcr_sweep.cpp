@@ -245,12 +245,10 @@ int main(int argc, char** argv) {
                        fault_plan_text.empty(),
                    "--respawn/--heartbeat-ms/--fault-plan require "
                    "--shards >= 1");
-      options.backend = exp::ExecutorBackend::kInProcess;
       options.threads = mc.threads;
     } else {
       COOPCR_CHECK(!resume || !journal.empty(),
                    "--resume requires --journal (or COOPCR_JOURNAL)");
-      options.backend = exp::ExecutorBackend::kDist;
       options.dist.shards = shards;
       options.dist.journal = journal;
       options.dist.resume = resume;

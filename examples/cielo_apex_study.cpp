@@ -12,9 +12,12 @@
 // Example:
 //   ./build/examples/cielo_apex_study --bandwidth-gbps 40 --mtbf-years 2
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "coopcr.hpp"
 
@@ -54,10 +57,9 @@ int main(int argc, char** argv) {
                                  2)
             << " h), " << replicas << " replicas\n\n";
 
-  MonteCarloOptions options = MonteCarloOptions::from_env(replicas);
-  options.keep_results = true;
-  const auto report =
-      run_monte_carlo(scenario, paper_strategies(), options);
+  const MonteCarloOptions options = MonteCarloOptions::from_env(replicas);
+  const auto& strategies = paper_strategies();
+  const auto report = run_monte_carlo(scenario, strategies, options);
 
   TablePrinter summary({"strategy", "waste (mean)", "d1", "d9", "utilization",
                         "ckpts/replica", "failures-hit"});
@@ -78,26 +80,39 @@ int main(int argc, char** argv) {
             << TablePrinter::fmt(bound, 4) << "\n\n";
 
   // Node-hour breakdown (averaged over replicas), normalised by the
-  // baseline's useful node-time: shows where each strategy loses time.
+  // baseline's useful node-time: shows where each strategy loses time. The
+  // report keeps only the per-replica metric tuples, so the category totals
+  // replay each replica through the campaign's own pipeline.
+  constexpr int kCategories = static_cast<int>(TimeCategory::kCount);
+  std::vector<std::array<double, kCategories>> totals(strategies.size());
+  for (int r = 0; r < report.replicas; ++r) {
+    SimWorkspace workspace;
+    const ReplicaInputs in = prepare_replica(
+        scenario, static_cast<std::uint64_t>(r), options.antithetic, workspace);
+    for (std::size_t s = 0; s < strategies.size(); ++s) {
+      SimulationConfig cfg = scenario.simulation;
+      cfg.strategy = strategies[s];
+      const SimulationResult result =
+          simulate(cfg, in.jobs, in.failures, workspace);
+      for (int c = 0; c < kCategories; ++c) {
+        totals[s][c] += result.accounting.total(static_cast<TimeCategory>(c));
+      }
+    }
+  }
+
   std::cout << "Per-category node-time shares (fraction of baseline useful "
                "work):\n\n";
   TablePrinter breakdown({"strategy", "compute", "io", "ckpt", "wait",
                           "dilation", "recovery", "lost"});
   const double baseline = report.baseline_useful.mean();
-  for (const auto& outcome : report.outcomes) {
-    double totals[static_cast<int>(TimeCategory::kCount)] = {};
-    for (const auto& result : outcome.results) {
-      for (int c = 0; c < static_cast<int>(TimeCategory::kCount); ++c) {
-        totals[c] += result.accounting.total(static_cast<TimeCategory>(c));
-      }
-    }
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
     const auto share = [&](TimeCategory c) {
-      return TablePrinter::fmt(
-          totals[static_cast<int>(c)] /
-              static_cast<double>(outcome.results.size()) / baseline,
-          4);
+      return TablePrinter::fmt(totals[s][static_cast<int>(c)] /
+                                   static_cast<double>(report.replicas) /
+                                   baseline,
+                               4);
     };
-    breakdown.add_row({outcome.strategy.name(),
+    breakdown.add_row({report.outcomes[s].strategy.name(),
                        share(TimeCategory::kUsefulCompute),
                        share(TimeCategory::kUsefulIo),
                        share(TimeCategory::kCheckpoint),

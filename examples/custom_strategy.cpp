@@ -8,8 +8,9 @@
 //     periods and the (P - C) request offset, registered under its own name.
 //
 //  2. A genuinely new policy: "Largest-First-Daly" — a custom TokenPolicy
-//     subclass defined *in this file*, wrapped in a SerialCoordination and
-//     registered in the coordination registry, then composed into a strategy.
+//     subclass defined *in this file*, named by a Coordination value that
+//     builds it, registered in the coordination registry and composed into
+//     a strategy.
 //
 // Both are then reachable by name via strategy_from_name() and run head to
 // head against two paper baselines on the stressed Cielo operating point.
@@ -46,7 +47,6 @@ class LargestFirstPolicy final : public TokenPolicy {
     }
     return best;
   }
-  std::string name() const override { return "largest-first"; }
 };
 
 }  // namespace
@@ -60,12 +60,12 @@ int main(int argc, char** argv) {
                                        daly_period(),
                                        RequestOffset::kPeriodMinusCommit});
 
-  // --- extension level 2: register a brand-new coordination policy -----------
-  const auto largest_first = std::make_shared<const SerialCoordination>(
+  // --- extension level 2: register a brand-new coordination ------------------
+  const Coordination largest_first{
       "Largest-First", /*non_blocking_wait=*/true,
-      [](const TokenPolicyContext&) {
+      RequestOffset::kPeriodMinusCommit, [](const TokenPolicyContext&) {
         return std::make_unique<LargestFirstPolicy>();
-      });
+      }};
   coordination_registry().add(largest_first);
   strategy_registry().add(StrategySpec{largest_first, daly_period(),
                                        RequestOffset::kPeriodMinusCommit});

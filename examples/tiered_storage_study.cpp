@@ -12,7 +12,9 @@
 //
 // Build & run:  ./tiered_storage_study   (COOPCR_REPLICAS to rescale)
 
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "coopcr.hpp"
 
@@ -42,27 +44,43 @@ int main() {
       ordered_nb_daly(),
       ordered_nb_daly().with_commit(/*tiered=*/true),
   };
-  MonteCarloOptions options = MonteCarloOptions::from_env(4);
-  options.keep_results = true;  // per-replica counters for the drain stats
+  const MonteCarloOptions options = MonteCarloOptions::from_env(4);
   const MonteCarloReport report =
       run_monte_carlo(scenario, strategies, options);
+
+  // The drain stats sum per-replica counters the report does not keep, so
+  // each replica is replayed through the campaign's own pipeline.
+  struct CommitCounters {
+    std::uint64_t absorbs = 0, lost = 0, fallbacks = 0;
+  };
+  std::vector<CommitCounters> counters(strategies.size());
+  for (int r = 0; r < report.replicas; ++r) {
+    SimWorkspace workspace;
+    const ReplicaInputs in = prepare_replica(
+        scenario, static_cast<std::uint64_t>(r), options.antithetic, workspace);
+    for (std::size_t s = 0; s < strategies.size(); ++s) {
+      SimulationConfig cfg = scenario.simulation;
+      cfg.strategy = strategies[s];
+      const SimulationCounters c =
+          simulate(cfg, in.jobs, in.failures, workspace).counters;
+      counters[s].absorbs += c.bb_absorbs;
+      counters[s].lost += c.bb_drains_aborted;
+      counters[s].fallbacks += c.bb_fallbacks;
+    }
+  }
 
   std::cout << "Commit-path comparison (" << report.replicas
             << " replicas):\n";
   TablePrinter table({"strategy", "blocked-commit waste", "waste ratio",
                       "absorbs", "drains lost", "fallbacks"});
-  for (const StrategyOutcome& outcome : report.outcomes) {
-    std::uint64_t absorbs = 0, lost = 0, fallbacks = 0;
-    for (const SimulationResult& r : outcome.results) {
-      absorbs += r.counters.bb_absorbs;
-      lost += r.counters.bb_drains_aborted;
-      fallbacks += r.counters.bb_fallbacks;
-    }
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
+    const StrategyOutcome& outcome = report.outcomes[s];
     table.add_row({outcome.strategy.name(),
                    TablePrinter::fmt(outcome.ckpt_waste_ratio.mean(), 4),
                    TablePrinter::fmt(outcome.waste_ratio.mean(), 4),
-                   std::to_string(absorbs), std::to_string(lost),
-                   std::to_string(fallbacks)});
+                   std::to_string(counters[s].absorbs),
+                   std::to_string(counters[s].lost),
+                   std::to_string(counters[s].fallbacks)});
   }
   table.print(std::cout);
 

@@ -13,10 +13,10 @@
 //                                       MonteCarloOptions::from_env(10));
 //
 // Extension points (no core edits required):
-//  * core/policy.hpp   — implement an IoCoordinationPolicy (or wrap a custom
-//                        TokenPolicy in a SerialCoordination) and add it to
-//                        coordination_registry();
-//  * core/strategy.hpp — compose a StrategySpec from a coordination policy,
+//  * core/policy.hpp   — implement a TokenPolicy, name it with a
+//                        Coordination value whose factory builds it, and
+//                        add that to coordination_registry();
+//  * core/strategy.hpp — compose a StrategySpec from a coordination,
 //                        a period, a request offset and a commit path, and
 //                        add it to strategy_registry() to make it reachable
 //                        by name.

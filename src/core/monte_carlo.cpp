@@ -155,15 +155,13 @@ void MonteCarloCampaign::run_replica_task(int t) {
   // flat double tuple any executor — local pool, worker process, journal
   // replay — can hand to reduce() bit-identically.
   out.slot.per_strategy.reserve(strategies_.size());
-  out.results.clear();
-  if (options_.keep_results) out.results.reserve(strategies_.size());
   for (const Strategy& strategy : strategies_) {
     SimulationConfig cfg = scenario_.simulation;
     cfg.strategy = strategy;
-    SimulationResult result = simulate(cfg, in.jobs, in.failures, workspace);
+    const SimulationResult result =
+        simulate(cfg, in.jobs, in.failures, workspace);
     out.slot.per_strategy.push_back(strategy_metrics(
         result, out.slot.baseline_useful, out.slot.baseline_useful_energy));
-    if (options_.keep_results) out.results.push_back(std::move(result));
   }
   out.done = true;
 }
@@ -183,9 +181,6 @@ const ReplicaSlot& MonteCarloCampaign::slot(int t) const {
 
 void MonteCarloCampaign::install_slot(int t, ReplicaSlot slot) {
   COOPCR_CHECK(t >= 0 && t < tasks(), "task index out of range");
-  COOPCR_CHECK(!options_.keep_results,
-               "install_slot is incompatible with keep_results — full "
-               "SimulationResults never cross the process boundary");
   COOPCR_CHECK(slot.per_strategy.size() == strategies_.size(),
                "slot carries " + std::to_string(slot.per_strategy.size()) +
                    " strategy tuples, campaign expects " +
@@ -197,7 +192,7 @@ void MonteCarloCampaign::install_slot(int t, ReplicaSlot slot) {
   out.done = true;
 }
 
-MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
+MonteCarloReport MonteCarloCampaign::reduce() const {
   MonteCarloReport report;
   report.replicas = options_.replicas;
   report.vr_enabled = options_.vr_active();
@@ -220,7 +215,7 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
   }
   // Deterministic reduction in replica order.
   for (int t = 0; t < tasks(); ++t) {
-    ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
+    const ReplicaOutput& out = outputs_[static_cast<std::size_t>(t)];
     COOPCR_CHECK(out.done, "replica task " + std::to_string(t) +
                                " never ran — reduce() before completion");
     report.baseline_useful.add(out.slot.baseline_useful);
@@ -241,9 +236,6 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
         if (options_.control_variate) {
           vr_predictors[s].push_back(out.slot.cv_predictor);
         }
-      }
-      if (options_.keep_results && destructive) {
-        outcome.results.push_back(std::move(out.results[s]));
       }
     }
   }
@@ -271,29 +263,7 @@ MonteCarloReport MonteCarloCampaign::fold_report(bool destructive) {
   return report;
 }
 
-MonteCarloReport MonteCarloCampaign::reduce() {
-  COOPCR_CHECK(!reduced_,
-               "campaign already reduced — reduce() moves the replica "
-               "outputs and cannot be called twice");
-  reduced_ = true;
-  return fold_report(/*destructive=*/true);
-}
-
-MonteCarloReport MonteCarloCampaign::snapshot() const {
-  COOPCR_CHECK(!reduced_,
-               "campaign already reduced — no snapshot after reduce()");
-  COOPCR_CHECK(!options_.keep_results,
-               "snapshot() is incompatible with keep_results");
-  // fold_report(false) never moves anything out, so the const_cast is only a
-  // plumbing convenience (the fold mutates SampleSets inside the *report*,
-  // not the campaign).
-  return const_cast<MonteCarloCampaign*>(this)->fold_report(
-      /*destructive=*/false);
-}
-
 void MonteCarloCampaign::extend(int new_replicas) {
-  COOPCR_CHECK(!reduced_,
-               "campaign already reduced — extend() before reduce()");
   COOPCR_CHECK(new_replicas >= options_.replicas,
                "extend() cannot shrink the campaign");
   options_.replicas = new_replicas;

@@ -38,7 +38,6 @@ class ThreadPool;
 struct MonteCarloOptions {
   int replicas = 100;       ///< paper uses >= 1000; benches default lower
   int threads = 0;          ///< 0 = hardware concurrency
-  bool keep_results = false; ///< retain the full per-replica SimulationResults
 
   // --- variance reduction (core/variance_reduction.hpp) ---------------------
 
@@ -134,8 +133,6 @@ struct StrategyOutcome {
     VrEstimate estimate;
   };
   ContrastSummary contrast;
-  /// Per-replica full results (only when keep_results was set).
-  std::vector<SimulationResult> results;
 };
 
 /// Result of a Monte Carlo campaign.
@@ -244,52 +241,40 @@ class MonteCarloCampaign {
 
   /// Install a slot computed elsewhere (a worker process or a journal
   /// replay) as task `t`'s output. The slot must carry exactly one
-  /// metric tuple per strategy; incompatible with options.keep_results (full
-  /// SimulationResults never cross the process boundary). Installing over an
-  /// already-done slot throws — a duplicated work unit is a dispatcher bug,
-  /// not something to paper over.
+  /// metric tuple per strategy. Installing over an already-done slot
+  /// throws — a duplicated work unit is a dispatcher bug, not something to
+  /// paper over.
   void install_slot(int t, ReplicaSlot slot);
 
-  /// Fold all replica slots into a report, in task order. Every replica
-  /// task must have completed; throws coopcr::Error on missing slots.
-  /// Single-use: reduce() moves results out of the slots, so a second call
-  /// throws instead of returning corrupted statistics.
-  MonteCarloReport reduce();
+  /// Fold all replica slots into a report, in task order: a pure function
+  /// of the slots, so it may be called at any point once every configured
+  /// task is done (sequential stopping folds each round, then extend()s).
+  /// Throws coopcr::Error on missing slots.
+  MonteCarloReport reduce() const;
 
-  /// Non-destructive mid-campaign reduction for sequential stopping: folds
-  /// the currently configured tasks (all must be done) into a report by
-  /// copying the slots, leaving the campaign open for extend() + further
-  /// run_replica_task/install_slot calls and a final reduce(). Requires
-  /// !options.keep_results (full results are too heavy to copy per round)
-  /// and throws after reduce().
-  MonteCarloReport snapshot() const;
+  /// The same fold as reduce(). Kept only for coopbench's trace driver;
+  /// retire it together with ReplicaSlot::work_* at the next benchmark
+  /// change.
+  MonteCarloReport snapshot() const { return reduce(); }
 
   /// Grow the campaign to `new_replicas` (>= the current count). Existing
-  /// slots are untouched — only the
-  /// new tail needs running — so a snapshot-extend-run loop is bit-identical
-  /// to a fixed-count campaign started at the final size. Throws after
-  /// reduce().
+  /// slots are untouched — only the new tail needs running — so a
+  /// reduce-extend-run loop is bit-identical to a fixed-count campaign
+  /// started at the final size.
   void extend(int new_replicas);
 
  private:
-  /// Everything one replica produces, kept per-replica so reduction order is
+  /// One replica's slot, kept per-replica so reduction order is
   /// deterministic regardless of thread scheduling.
   struct ReplicaOutput {
     ReplicaSlot slot;
-    /// Full per-strategy results, only populated under options.keep_results.
-    std::vector<SimulationResult> results;
     bool done = false;
   };
-
-  /// Fold tasks [0, tasks()) into a report. `destructive` moves slot
-  /// contents out (reduce); snapshot passes false and copies.
-  MonteCarloReport fold_report(bool destructive);
 
   ScenarioConfig scenario_;
   std::vector<Strategy> strategies_;
   MonteCarloOptions options_;
   std::vector<ReplicaOutput> outputs_;
-  bool reduced_ = false;
   /// Index of the contrast reference strategy (-1 when the contrast is off);
   /// resolved from options.contrast_reference in the constructor.
   int contrast_index_ = -1;

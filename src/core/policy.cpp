@@ -53,84 +53,61 @@ CheckpointPeriod energy_period() {
 
 // --- coordination -----------------------------------------------------------
 
-SerialCoordination::SerialCoordination(std::string name,
-                                       bool non_blocking_wait,
-                                       TokenFactory factory,
-                                       RequestOffset default_offset)
-    : name_(std::move(name)),
-      non_blocking_wait_(non_blocking_wait),
-      factory_(std::move(factory)),
-      default_offset_(default_offset) {
-  COOPCR_CHECK(!name_.empty(), "coordination policy name must not be empty");
-  COOPCR_CHECK(factory_ != nullptr,
-               "serialized coordination needs a token-policy factory");
+Coordination oblivious_coordination() {
+  return {"Oblivious", /*non_blocking_wait=*/false,
+          RequestOffset::kPeriodMinusCommit, /*token_policy=*/nullptr};
 }
 
-std::shared_ptr<const IoCoordinationPolicy> oblivious_coordination() {
-  static const auto policy = std::make_shared<const ObliviousCoordination>();
-  return policy;
+namespace {
+
+std::unique_ptr<TokenPolicy> fcfs(const TokenPolicyContext&) {
+  return std::make_unique<FcfsPolicy>();
 }
 
-std::shared_ptr<const IoCoordinationPolicy> ordered_coordination() {
-  static const auto policy = std::make_shared<const SerialCoordination>(
-      "Ordered", /*non_blocking_wait=*/false, [](const TokenPolicyContext&) {
-        return std::make_unique<FcfsPolicy>();
-      });
-  return policy;
+}  // namespace
+
+Coordination ordered_coordination() {
+  return {"Ordered", /*non_blocking_wait=*/false,
+          RequestOffset::kPeriodMinusCommit, fcfs};
 }
 
-std::shared_ptr<const IoCoordinationPolicy> ordered_nb_coordination() {
-  static const auto policy = std::make_shared<const SerialCoordination>(
-      "Ordered-NB", /*non_blocking_wait=*/true, [](const TokenPolicyContext&) {
-        return std::make_unique<FcfsPolicy>();
-      });
-  return policy;
+Coordination ordered_nb_coordination() {
+  return {"Ordered-NB", /*non_blocking_wait=*/true,
+          RequestOffset::kPeriodMinusCommit, fcfs};
 }
 
-std::shared_ptr<const IoCoordinationPolicy> least_waste_coordination(
-    LeastWasteVariant variant) {
+Coordination least_waste_coordination(LeastWasteVariant variant) {
   // The variant is part of the name so the two compositions never alias;
   // the paper variant keeps the paper's plain spelling and is the one the
   // registry serves.
-  static const auto paper = std::make_shared<const SerialCoordination>(
-      "Least-Waste", /*non_blocking_wait=*/true,
-      [](const TokenPolicyContext& ctx) {
-        return std::make_unique<LeastWastePolicy>(
-            ctx.node_mtbf, ctx.pfs_bandwidth, LeastWasteVariant::kPaperEq12);
-      },
-      RequestOffset::kFullPeriod);
-  static const auto marginal = std::make_shared<const SerialCoordination>(
-      "Least-Waste:marginal", /*non_blocking_wait=*/true,
-      [](const TokenPolicyContext& ctx) {
-        return std::make_unique<LeastWastePolicy>(
-            ctx.node_mtbf, ctx.pfs_bandwidth, LeastWasteVariant::kMarginal);
-      },
-      RequestOffset::kFullPeriod);
-  return variant == LeastWasteVariant::kPaperEq12 ? paper : marginal;
+  const bool paper = variant == LeastWasteVariant::kPaperEq12;
+  return {paper ? "Least-Waste" : "Least-Waste:marginal",
+          /*non_blocking_wait=*/true, RequestOffset::kFullPeriod,
+          [variant](const TokenPolicyContext& ctx) {
+            return std::make_unique<LeastWastePolicy>(
+                ctx.node_mtbf, ctx.pfs_bandwidth, variant);
+          }};
 }
 
-std::shared_ptr<const IoCoordinationPolicy> random_coordination() {
-  static const auto policy = std::make_shared<const SerialCoordination>(
-      "Random", /*non_blocking_wait=*/true, [](const TokenPolicyContext& ctx) {
-        return std::make_unique<RandomPolicy>(ctx.seed);
-      });
-  return policy;
+Coordination random_coordination() {
+  return {"Random", /*non_blocking_wait=*/true,
+          RequestOffset::kPeriodMinusCommit, [](const TokenPolicyContext& ctx) {
+            return std::make_unique<RandomPolicy>(ctx.seed);
+          }};
 }
 
-std::shared_ptr<const IoCoordinationPolicy> smallest_first_coordination() {
-  static const auto policy = std::make_shared<const SerialCoordination>(
-      "Smallest-First", /*non_blocking_wait=*/true,
-      [](const TokenPolicyContext&) {
-        return std::make_unique<SmallestFirstPolicy>();
-      });
-  return policy;
+Coordination smallest_first_coordination() {
+  return {"Smallest-First", /*non_blocking_wait=*/true,
+          RequestOffset::kPeriodMinusCommit, [](const TokenPolicyContext&) {
+            return std::make_unique<SmallestFirstPolicy>();
+          }};
 }
 
 // --- registries -------------------------------------------------------------
 
-Registry<std::shared_ptr<const IoCoordinationPolicy>>& coordination_registry() {
+Registry<Coordination>& coordination_registry() {
   static auto* registry = [] {
-    auto* r = new Registry<std::shared_ptr<const IoCoordinationPolicy>>();
+    auto* r = new Registry<Coordination>();
     r->add(oblivious_coordination());
     r->add(ordered_coordination());
     r->add(ordered_nb_coordination());

@@ -3,14 +3,14 @@
 // The parts a checkpoint/IO scheduling strategy is composed of (paper §3,
 // decomposed):
 //
-//  * IoCoordinationPolicy — how I/O is admitted to the PFS (concurrent vs
+//  * Coordination         — how I/O is admitted to the PFS (concurrent vs
 //                           token-serialized), whether a job keeps computing
 //                           while its checkpoint request waits, and which
-//                           TokenPolicy arbitrates the token. The one open
-//                           axis: an interface with a name-keyed registry,
-//                           so client code (examples, benches, downstream
-//                           users) can add coordination policies without
-//                           touching this file or core/strategy.*.
+//                           TokenPolicy arbitrates the token. A plain value
+//                           with a name-keyed registry, so client code
+//                           (examples, benches, downstream users) adds a
+//                           coordination — usually a custom TokenPolicy —
+//                           without touching this file or core/strategy.*.
 //  * CheckpointPeriod     — how each job's checkpoint period P_i is chosen:
 //                           a fixed interval, Young/Daly, or the Aupy et al.
 //                           energy-optimal period. A plain value.
@@ -121,92 +121,49 @@ struct TokenPolicyContext {
   std::uint64_t seed = 0;      ///< strategy-internal randomness seed
 };
 
-/// How I/O is coordinated platform-wide (§3.1-3.5).
-class IoCoordinationPolicy {
- public:
-  virtual ~IoCoordinationPolicy() = default;
-
-  /// Registry key and display-name component, e.g. "Ordered-NB".
-  virtual std::string name() const = 0;
-
-  /// True when at most one I/O operation owns the PFS at a time.
-  virtual bool serialized() const = 0;
-
-  /// True when a job keeps computing while its *checkpoint* request waits
-  /// for the I/O token (§3.3, §3.5).
-  virtual bool non_blocking_wait() const = 0;
-
-  /// Build the token arbiter for one simulation run. Must return non-null
-  /// for serialized policies; ignored (may return null) for concurrent ones.
-  virtual std::unique_ptr<TokenPolicy> make_token_policy(
-      const TokenPolicyContext& ctx) const = 0;
-
-  /// The request offset this coordination implies when a strategy is
-  /// assembled by name ("the paper rule": full-period for Least-Waste,
-  /// period-minus-commit for everything else).
-  virtual RequestOffset default_offset() const {
-    return RequestOffset::kPeriodMinusCommit;
-  }
-};
-
-/// Oblivious (§3.1): no coordination; the channel's interference model
-/// dilates all concurrent transfers.
-class ObliviousCoordination final : public IoCoordinationPolicy {
- public:
-  std::string name() const override { return "Oblivious"; }
-  bool serialized() const override { return false; }
-  bool non_blocking_wait() const override { return false; }
-  std::unique_ptr<TokenPolicy> make_token_policy(
-      const TokenPolicyContext&) const override {
-    return nullptr;
-  }
-};
-
-/// Generic token-serialized coordination: a display name, a wait behaviour
-/// and a TokenPolicy factory. All serialized strategies — the paper's and
-/// custom ones — are instances of this class, so defining a new serialized
-/// strategy requires no new coordination subclass.
-class SerialCoordination final : public IoCoordinationPolicy {
- public:
+/// How I/O is coordinated platform-wide (§3.1-3.5): a plain value. With a
+/// token-policy factory, at most one I/O operation owns the PFS at a time
+/// and a fresh TokenPolicy built per run arbitrates the token; without
+/// one, I/O is concurrent (Oblivious) and the channel's interference model
+/// dilates overlapping transfers. A new arbiter is a TokenPolicy subclass
+/// plus a Coordination naming it — no other interface to implement.
+struct Coordination {
   using TokenFactory =
       std::function<std::unique_ptr<TokenPolicy>(const TokenPolicyContext&)>;
 
-  SerialCoordination(
-      std::string name, bool non_blocking_wait, TokenFactory factory,
-      RequestOffset default_offset = RequestOffset::kPeriodMinusCommit);
+  /// Registry key and display-name component, e.g. "Ordered-NB".
+  std::string name;
+  /// True when a job keeps computing while its *checkpoint* request waits
+  /// for the I/O token (§3.3, §3.5).
+  bool non_blocking_wait = false;
+  /// The request offset this coordination implies when a strategy is
+  /// assembled by name ("the paper rule": full-period for Least-Waste,
+  /// period-minus-commit for everything else).
+  RequestOffset default_offset = RequestOffset::kPeriodMinusCommit;
+  /// Builds the token arbiter for one simulation run; empty for concurrent
+  /// I/O. A set factory must return non-null (simulate throws otherwise).
+  TokenFactory token_policy;
 
-  std::string name() const override { return name_; }
-  bool serialized() const override { return true; }
-  bool non_blocking_wait() const override { return non_blocking_wait_; }
-  std::unique_ptr<TokenPolicy> make_token_policy(
-      const TokenPolicyContext& ctx) const override {
-    return factory_(ctx);
-  }
-  RequestOffset default_offset() const override { return default_offset_; }
-
- private:
-  std::string name_;
-  bool non_blocking_wait_;
-  TokenFactory factory_;
-  RequestOffset default_offset_;
+  /// True when at most one I/O operation owns the PFS at a time.
+  bool serialized() const { return token_policy != nullptr; }
 };
 
-/// Built-in coordination policies (shared, immutable — cheap to copy around).
-std::shared_ptr<const IoCoordinationPolicy> oblivious_coordination();
-std::shared_ptr<const IoCoordinationPolicy> ordered_coordination();
-std::shared_ptr<const IoCoordinationPolicy> ordered_nb_coordination();
-std::shared_ptr<const IoCoordinationPolicy> least_waste_coordination(
+/// Built-in coordination values.
+Coordination oblivious_coordination();
+Coordination ordered_coordination();
+Coordination ordered_nb_coordination();
+Coordination least_waste_coordination(
     LeastWasteVariant variant = LeastWasteVariant::kPaperEq12);
 /// Ablation baselines (serialized, non-blocking waits).
-std::shared_ptr<const IoCoordinationPolicy> random_coordination();
-std::shared_ptr<const IoCoordinationPolicy> smallest_first_coordination();
+Coordination random_coordination();
+Coordination smallest_first_coordination();
 
 // ---------------------------------------------------------------------------
 // Registries
 // ---------------------------------------------------------------------------
 
-/// Name-keyed factory registry of `T` values (coordination policies,
-/// whole strategies). Registering an existing name replaces the factory
+/// Name-keyed factory registry of `T` values (coordinations, whole
+/// strategies). Registering an existing name replaces the factory
 /// (last writer wins), so tests and downstream code can shadow built-ins.
 template <typename T>
 class Registry {
@@ -219,7 +176,7 @@ class Registry {
     factories_[name] = std::move(factory);
   }
 
-  /// Register a ready-made value under its own name().
+  /// Register a ready-made value under its own name.
   void add(T value) {
     const std::string key = name_of(value);
     add(key, [value = std::move(value)] { return value; });
@@ -245,11 +202,10 @@ class Registry {
 
  private:
   static std::string name_of(const T& value) {
-    if constexpr (requires { value->name(); }) {
-      COOPCR_CHECK(value != nullptr, "registered value must not be null");
-      return value->name();
-    } else {
+    if constexpr (requires { value.name(); }) {
       return value.name();
+    } else {
+      return value.name;
     }
   }
 
@@ -259,6 +215,6 @@ class Registry {
 /// Process-wide coordination registry, pre-seeded with the built-ins above.
 /// Not synchronized: register custom policies up front, before spawning
 /// Monte Carlo worker threads.
-Registry<std::shared_ptr<const IoCoordinationPolicy>>& coordination_registry();
+Registry<Coordination>& coordination_registry();
 
 }  // namespace coopcr

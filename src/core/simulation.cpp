@@ -74,7 +74,7 @@ class Runner final : private IoListener {
     // Tiered commit path: a fast tier in front of the PFS. Absorbs need no
     // token — NVRAM-style buffers are processor-shared among concurrent
     // writers (kConcurrent + kLinear) — while drains go through `io_` and
-    // contend under the strategy's coordination policy like any transfer.
+    // contend under the strategy's coordination like any transfer.
     tiered_ = cfg_.strategy.tiered() && cfg_.burst_buffer.usable();
     if (tiered_) {
       if (ws.bb_io) {
@@ -179,15 +179,14 @@ class Runner final : private IoListener {
   }
 
   std::unique_ptr<TokenPolicy> make_policy() const {
-    if (!cfg_.strategy.serialized()) return nullptr;
-    const TokenPolicyContext ctx{cfg_.platform.node_mtbf,
-                                 cfg_.platform.pfs_bandwidth,
-                                 cfg_.policy_seed};
-    auto policy = cfg_.strategy.coordination().make_token_policy(ctx);
-    COOPCR_CHECK(policy != nullptr,
-                 "serialized coordination policy '" +
-                     cfg_.strategy.coordination().name() +
-                     "' produced no token policy");
+    const Coordination& coordination = cfg_.strategy.coordination();
+    if (!coordination.serialized()) return nullptr;
+    auto policy = coordination.token_policy(TokenPolicyContext{
+        cfg_.platform.node_mtbf, cfg_.platform.pfs_bandwidth,
+        cfg_.policy_seed});
+    COOPCR_CHECK(policy != nullptr, "serialized coordination '" +
+                                        coordination.name +
+                                        "' produced no token policy");
     return policy;
   }
 

@@ -15,21 +15,18 @@ constexpr std::string_view kTieredSuffix = "-tiered";
 
 }  // namespace
 
-StrategySpec::StrategySpec(
-    std::shared_ptr<const IoCoordinationPolicy> coordination,
-    CheckpointPeriod period, RequestOffset offset, std::string display_name,
-    bool tiered)
+StrategySpec::StrategySpec(Coordination coordination, CheckpointPeriod period,
+                           RequestOffset offset, std::string display_name,
+                           bool tiered)
     : coordination_(std::move(coordination)),
       period_(period),
       offset_(offset),
       display_name_(std::move(display_name)),
-      tiered_(tiered) {
-  COOPCR_CHECK(coordination_ != nullptr, "strategy needs a coordination policy");
-}
+      tiered_(tiered) {}
 
 std::string StrategySpec::name() const {
   if (!display_name_.empty()) return display_name_;
-  std::string composed = coordination_->name() + "-" + period_.name();
+  std::string composed = coordination_.name + "-" + period_.name();
   if (tiered_) composed.append(kTieredSuffix);
   return composed;
 }
@@ -58,7 +55,7 @@ StrategySpec StrategySpec::with_commit(bool tiered) const {
 }
 
 bool StrategySpec::operator==(const StrategySpec& other) const {
-  return coordination_->name() == other.coordination_->name() &&
+  return coordination_.name == other.coordination_.name &&
          period_ == other.period_ && offset_ == other.offset_ &&
          tiered_ == other.tiered_ && name() == other.name();
 }
@@ -168,8 +165,8 @@ bool try_strategy_from_name(const std::string& name, StrategySpec& out) {
   for (const CheckpointPeriod& period :
        {fixed_period(), daly_period(), energy_period()}) {
     if (period.name() != tail) continue;
-    const auto coordination = coordination_registry().make(head);
-    out = {coordination, period, coordination->default_offset()};
+    const Coordination coordination = coordination_registry().make(head);
+    out = {coordination, period, coordination.default_offset};
     return true;
   }
   return false;

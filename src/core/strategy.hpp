@@ -1,7 +1,7 @@
 // coopcr/core/strategy.hpp
 //
-// A checkpoint/I/O scheduling strategy is an I/O-coordination policy
-// composed with three plain values (core/policy.hpp): a checkpoint period,
+// A checkpoint/I/O scheduling strategy is an I/O coordination composed
+// with three more plain values (core/policy.hpp): a checkpoint period,
 // a request offset and a commit path (direct-to-PFS, or tiered through the
 // scenario's burst buffer). The paper's seven strategies (§3) are prebuilt
 // compositions:
@@ -13,13 +13,12 @@
 //                                          compute while waiting, Daly periods
 //
 // New strategies are *registered*, not enumerated: compose a StrategySpec
-// from a built-in or custom coordination policy and add it to
+// from a built-in or custom coordination and add it to
 // strategy_registry() to make it reachable by name — no edits to this file
 // required.
 
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,17 +26,15 @@
 
 namespace coopcr {
 
-/// One fully-specified scheduling strategy: a coordination policy, a
-/// period, a request offset, a commit path and an optional display-name
-/// override (the paper calls "Least-Waste + Daly periods" just
-/// "Least-Waste"). The coordination policy is immutable and shared, so
-/// copies are cheap and thread-safe.
+/// One fully-specified scheduling strategy: a coordination, a period, a
+/// request offset, a commit path and an optional display-name override (the
+/// paper calls "Least-Waste + Daly periods" just "Least-Waste"). Every part
+/// is a value, so copies are independent and thread-safe.
 class StrategySpec {
  public:
   /// Defaults to the baseline composition: Oblivious coordination with Daly
   /// periods, direct commits.
-  StrategySpec(std::shared_ptr<const IoCoordinationPolicy> coordination =
-                   oblivious_coordination(),
+  StrategySpec(Coordination coordination = oblivious_coordination(),
                CheckpointPeriod period = daly_period(),
                RequestOffset offset = RequestOffset::kPeriodMinusCommit,
                std::string display_name = "", bool tiered = false);
@@ -47,7 +44,7 @@ class StrategySpec {
   /// path appends "-tiered" ("Least-Waste-tiered").
   std::string name() const;
 
-  const IoCoordinationPolicy& coordination() const { return *coordination_; }
+  const Coordination& coordination() const { return coordination_; }
   const CheckpointPeriod& period() const { return period_; }
   RequestOffset offset() const { return offset_; }
 
@@ -56,7 +53,7 @@ class StrategySpec {
   /// stdchk-style): each commit is absorbed at fast-tier bandwidth —
   /// blocking the application only for the absorb — and drained to the PFS
   /// asynchronously, with drains contending for PFS bandwidth under the
-  /// same coordination policy. Un-drained checkpoints are lost when a
+  /// same coordination. Un-drained checkpoints are lost when a
   /// failure kills the job (the fast tier is node-local), so restarts
   /// resume from the last *drained* snapshot. Without a buffer, or without
   /// free capacity for a commit, the tiered path falls back to the direct
@@ -69,11 +66,11 @@ class StrategySpec {
   bool tiered() const { return tiered_; }
 
   /// True when the strategy serialises I/O behind a token.
-  bool serialized() const { return coordination_->serialized(); }
+  bool serialized() const { return coordination_.serialized(); }
 
   /// True when a job keeps computing while its *checkpoint* request waits
   /// for the I/O token (§3.3, §3.5).
-  bool non_blocking_wait() const { return coordination_->non_blocking_wait(); }
+  bool non_blocking_wait() const { return coordination_.non_blocking_wait; }
 
   /// Same-composition copy with a different display name.
   StrategySpec named(std::string display_name) const;
@@ -86,12 +83,12 @@ class StrategySpec {
 
   /// Equality is by composition identity: the coordination name, the
   /// period, the offset, the commit path and the resolved display name
-  /// (coordination policies are registered by name).
+  /// (coordinations are registered by name).
   bool operator==(const StrategySpec& other) const;
   bool operator!=(const StrategySpec& other) const { return !(*this == other); }
 
  private:
-  std::shared_ptr<const IoCoordinationPolicy> coordination_;
+  Coordination coordination_;
   CheckpointPeriod period_;
   RequestOffset offset_;
   std::string display_name_;

@@ -476,9 +476,6 @@ DistSweepRunner& DistSweepRunner::on_point(PointCallback callback) {
 }
 
 exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
-  COOPCR_CHECK(!spec.campaign_options().keep_results,
-               "distributed sweeps cannot keep full simulation results — "
-               "only reduced slots cross the process boundary");
   COOPCR_CHECK(options_.journal.empty() || !options_.resume ||
                    std::filesystem::exists(options_.journal),
                "cannot resume: journal does not exist: " + options_.journal);

@@ -72,9 +72,7 @@ class DistSweepRunner final : public exp::SweepExecutor {
 
   /// Expand `spec` and run the full grid across the worker fleet. Throws
   /// coopcr::Error on journal/digest mismatches, when every worker died
-  /// with units outstanding and no respawn budget remains, or when the
-  /// spec requests keep_results (full SimulationResults never cross the
-  /// process boundary).
+  /// with units outstanding and no respawn budget remains.
   exp::ExperimentReport run(const exp::ExperimentSpec& spec) override;
 
  private:

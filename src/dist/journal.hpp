@@ -60,12 +60,14 @@ namespace coopcr::dist {
 /// refused.
 inline constexpr const char* kCodeVersion = "coopcr-7";
 
-/// Journal file format version (layout changes only). v2: slot layout
+/// Journal file format version (layout and checksum changes). v2: slot layout
 /// gained the variance-reduction fields; v3: typed records (unit + round
 /// boundary) and the slot workload features; v4: one replica per unit
 /// record, pair-partner fields gone; v5: slot workload features gone (see
-/// the header comment).
-inline constexpr std::uint32_t kJournalFormatVersion = 5;
+/// the header comment); v6: checksums and the spec digest use the published
+/// FNV-1a offset basis (util/hash.hpp), so an older journal fails its header
+/// checksum and refuses to resume.
+inline constexpr std::uint32_t kJournalFormatVersion = 6;
 
 /// Order- and content-sensitive digest of a materialised experiment:
 /// spec name, replica count, strategy names, every axis point (name, value

@@ -34,11 +34,9 @@ void worker_serve(const exp::ExperimentSpec& spec, int in_fd, int out_fd,
   const std::vector<exp::GridPoint> points = spec.expand();
   std::vector<std::unique_ptr<MonteCarloCampaign>> campaigns;
   campaigns.reserve(points.size());
-  MonteCarloOptions options = spec.campaign_options();
-  options.keep_results = false;  // full results never cross the wire
   for (const exp::GridPoint& point : points) {
     campaigns.push_back(std::make_unique<MonteCarloCampaign>(
-        point.scenario, spec.strategy_set(), options));
+        point.scenario, spec.strategy_set(), spec.campaign_options()));
   }
 
   HelloMsg hello;

@@ -9,10 +9,10 @@
 // Two backends ship with the repo — exp::SweepRunner (shared thread pool,
 // in-process) and dist::DistSweepRunner (multi-process shard workers with a
 // durable journal) — and both produce byte-identical reports for the same
-// spec, so callers select an engine by *options*, never by concrete type:
+// spec, so callers select an engine by *options*, never by concrete type —
+// the shard count picks it (0 in-process, N > 0 worker processes):
 //
 //   exp::ExecutorOptions options;
-//   options.backend = exp::ExecutorBackend::kDist;
 //   options.dist.shards = 4;
 //   auto executor = exp::make_sweep_executor(options);
 //   exp::ExperimentReport report = executor->run(spec);
@@ -52,30 +52,22 @@ class SweepExecutor {
   virtual SweepExecutor& on_point(PointCallback callback) = 0;
 };
 
-/// Which sweep engine make_sweep_executor builds.
-enum class ExecutorBackend {
-  kInProcess,  ///< exp::SweepRunner on a shared thread pool
-  kDist,       ///< dist::DistSweepRunner across worker processes
-};
-
-/// Parse a backend name ("inprocess", "in-process", "dist"); throws
-/// coopcr::Error on anything else, naming the value.
-ExecutorBackend executor_backend_from_name(const std::string& name);
-
-/// Backend selection plus each engine's knobs. The knobs of the backend
-/// that is not selected are ignored.
+/// Each engine's knobs; dist.shards selects the engine, and the knobs of
+/// the engine not selected are ignored.
 struct ExecutorOptions {
-  ExecutorBackend backend = ExecutorBackend::kInProcess;
+  ExecutorOptions() { dist.shards = 0; }
 
   /// In-process: thread-pool size; 0 selects hardware concurrency.
   int threads = 0;
 
   /// Dist: shard count, journal, resume, worker command, respawn budget,
-  /// heartbeat and fault plan (dist/dist_options.hpp).
+  /// heartbeat and fault plan (dist/dist_options.hpp). shards == 0 (the
+  /// default here) runs in-process instead.
   dist::DistOptions dist;
 };
 
-/// Build the selected engine behind the SweepExecutor interface.
+/// Build the engine behind the SweepExecutor interface: exp::SweepRunner
+/// when dist.shards == 0, dist::DistSweepRunner otherwise.
 std::unique_ptr<SweepExecutor> make_sweep_executor(
     const ExecutorOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "exp/spec_registry.hpp"
 
 #include <ostream>
+#include <utility>
 
 #include "core/lower_bound.hpp"
 #include "core/policy.hpp"
@@ -81,8 +82,8 @@ ExperimentSpec build_ablation_interference(int replicas) {
 // A2 and A3 are single-point surveys whose strategy set carries the cases,
 // paired by construction (every strategy shares each replica's draws).
 ExperimentSpec build_ablation_token_policy(int replicas) {
-  const auto chassis = [](auto coordination, const char* name) {
-    return StrategySpec{coordination, daly_period(),
+  const auto chassis = [](Coordination coordination, const char* name) {
+    return StrategySpec{std::move(coordination), daly_period(),
                         RequestOffset::kPeriodMinusCommit, name};
   };
   const std::vector<Strategy> cases = {

@@ -144,7 +144,7 @@ int sequential_stopping_start(const MonteCarloOptions& options) {
 int next_sequential_round(const MonteCarloCampaign& campaign, int cap) {
   const MonteCarloOptions& opt = campaign.options();
   if (opt.target_ci_width <= 0.0) return 0;
-  const MonteCarloReport snap = campaign.snapshot();
+  const MonteCarloReport snap = campaign.reduce();
   bool converged = true;
   for (const StrategyOutcome& outcome : snap.outcomes) {
     // Contrast-aware convergence: when the paired contrast estimator is on,

@@ -48,11 +48,11 @@ int sequential_stopping_start(const MonteCarloOptions& options);
 
 /// The one sequential-stopping round decision, shared by SweepRunner and
 /// dist::DistSweepRunner so the two backends can never disagree on the
-/// growth schedule: snapshot `campaign` and return the replica count the
+/// growth schedule: reduce `campaign` and return the replica count the
 /// next doubling round grows it to, or 0 when it settles — the 95% CI of
 /// every strategy's waste-ratio estimate (every *contrast* estimate when
 /// the paired contrast is active) is at most target_ci_width, or the cap is
-/// reached. Driven by the deterministic snapshot alone, so the schedule is
+/// reached. Driven by the deterministic fold alone, so the schedule is
 /// bit-identical across thread counts, shard counts and resume histories.
 int next_sequential_round(const MonteCarloCampaign& campaign, int cap);
 

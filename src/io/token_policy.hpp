@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "io/request.hpp"
@@ -53,9 +52,6 @@ class TokenPolicy {
   /// given the same inputs (RandomPolicy owns its generator state).
   virtual std::size_t select(const std::vector<PendingEntry>& pending,
                              sim::Time now) = 0;
-
-  /// Policy name for tables and logs.
-  virtual std::string name() const = 0;
 };
 
 /// First-come-first-served: always the oldest request (§3.2, §3.3).
@@ -63,7 +59,6 @@ class FcfsPolicy final : public TokenPolicy {
  public:
   std::size_t select(const std::vector<PendingEntry>& pending,
                      sim::Time now) override;
-  std::string name() const override { return "fcfs"; }
 };
 
 /// Uniform random selection (ablation baseline).
@@ -72,7 +67,6 @@ class RandomPolicy final : public TokenPolicy {
   explicit RandomPolicy(std::uint64_t seed) : rng_(seed) {}
   std::size_t select(const std::vector<PendingEntry>& pending,
                      sim::Time now) override;
-  std::string name() const override { return "random"; }
 
  private:
   Rng rng_;
@@ -83,7 +77,6 @@ class SmallestFirstPolicy final : public TokenPolicy {
  public:
   std::size_t select(const std::vector<PendingEntry>& pending,
                      sim::Time now) override;
-  std::string name() const override { return "smallest-first"; }
 };
 
 /// Waste-formula variant for LeastWastePolicy.
@@ -115,7 +108,6 @@ class LeastWastePolicy final : public TokenPolicy {
 
   std::size_t select(const std::vector<PendingEntry>& pending,
                      sim::Time now) override;
-  std::string name() const override { return "least-waste"; }
 
   /// Expected waste of granting `pending[index]` at time `now` — Eq. (1)/(2).
   /// Exposed so tests can pin the formulas numerically.

@@ -39,8 +39,8 @@ std::string Advisor::answer(const AdvisorQuery& query) {
   ++stats_.queries;
 
   std::string rendered;
-  const std::uint64_t digest = query.digest();
-  if (const std::string* cached = cache_.lookup(digest)) {
+  const std::string key = query.canonical();
+  if (const std::string* cached = cache_.lookup(key)) {
     ++stats_.cache_hits;
     rendered = *cached;  // the first evaluation's exact bytes
   } else {
@@ -50,7 +50,7 @@ std::string Advisor::answer(const AdvisorQuery& query) {
     const QueryEngine::Counters& after = engine_.counters();
     stats_.interpolated += after.interpolated - before.interpolated;
     stats_.computed += after.computed - before.computed;
-    cache_.insert(digest, rendered);
+    cache_.insert(key, rendered);
   }
 
   const auto elapsed = std::chrono::steady_clock::now() - start;

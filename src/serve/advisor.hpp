@@ -4,14 +4,14 @@
 //
 // Advisor owns a GridStore (ingest artifacts once, at startup), a
 // QueryEngine (interpolate or fall back to an on-demand campaign) and a
-// QueryCache (digest-keyed LRU of rendered answers), and exposes the one
-// operation cli/coopcr_advisor loops on: JSON query text in, JSON answer
-// text out. Determinism contract: for a fixed ingested store and engine
-// options, the same query always returns byte-identical answer text — a
-// cache hit returns the first evaluation's exact bytes, and answers carry
-// no volatile data. Everything volatile (latencies, hit/miss and
-// interpolated/computed counters) accumulates in AdvisorStats, rendered as
-// a separate JSON "stats" document for the CLI's stderr.
+// QueryCache (LRU of rendered answers keyed by canonical query text), and
+// exposes the one operation cli/coopcr_advisor loops on: JSON query text
+// in, JSON answer text out. Determinism contract: for a fixed ingested
+// store and engine options, the same query always returns byte-identical
+// answer text — a cache hit returns the first evaluation's exact bytes,
+// and answers carry no volatile data. Everything volatile (latencies,
+// hit/miss and interpolated/computed counters) accumulates in AdvisorStats,
+// rendered as a separate JSON "stats" document for the CLI's stderr.
 
 #pragma once
 
@@ -61,7 +61,7 @@ class Advisor {
   bool ingest_text(const std::string& text, const std::string& label);
   std::size_t ingest_dir(const std::string& dir);
 
-  /// Answer a parsed query; cached by query digest.
+  /// Answer a parsed query; cached by its canonical text.
   std::string answer(const AdvisorQuery& query);
 
   /// Parse one single-line JSON query and answer it.

@@ -5,7 +5,6 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace coopcr::serve {
@@ -71,11 +70,6 @@ std::string AdvisorQuery::canonical() const {
   }
   os << "}}";
   return os.str();
-}
-
-std::uint64_t AdvisorQuery::digest() const {
-  const std::string text = canonical();
-  return fnv1a64(text.data(), text.size());
 }
 
 const StrategyEstimate& AdvisorAnswer::best() const {

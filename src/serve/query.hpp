@@ -6,8 +6,8 @@
 // should I run, with what checkpoint period, and what waste should I
 // expect?" — an experiment grid to consult, one coordinate per sweep axis,
 // and the metric to rank by. Queries parse from single-line JSON documents
-// (cli/coopcr_advisor's stdin protocol) and carry a canonical fnv1a64
-// digest, the key of serve::QueryCache.
+// (cli/coopcr_advisor's stdin protocol) and have one canonical text form,
+// the key of serve::QueryCache.
 //
 // An AdvisorAnswer is the versioned JSON document the advisor emits: the
 // echoed query, how it was answered ("interpolated" from the stored grid or
@@ -20,7 +20,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,10 +54,8 @@ struct AdvisorQuery {
   /// 17-digit round-trip formatting. Two queries meaning the same thing
   /// canonicalise identically regardless of coord order, and two different
   /// queries never share a form, whatever their strings contain.
+  /// It is the QueryCache key.
   std::string canonical() const;
-
-  /// fnv1a64 over canonical() — the QueryCache key.
-  std::uint64_t digest() const;
 };
 
 /// One strategy's estimate at the query point.

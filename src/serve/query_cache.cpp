@@ -4,8 +4,8 @@
 
 namespace coopcr::serve {
 
-const std::string* QueryCache::lookup(std::uint64_t digest) {
-  const auto it = entries_.find(digest);
+const std::string* QueryCache::lookup(const std::string& key) {
+  const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
     return nullptr;
@@ -15,20 +15,20 @@ const std::string* QueryCache::lookup(std::uint64_t digest) {
   return &it->second->answer;
 }
 
-void QueryCache::insert(std::uint64_t digest, std::string answer_json) {
+void QueryCache::insert(const std::string& key, std::string answer_json) {
   if (capacity_ == 0) return;
-  const auto it = entries_.find(digest);
+  const auto it = entries_.find(key);
   if (it != entries_.end()) {
     it->second->answer = std::move(answer_json);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   if (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back().digest);
+    entries_.erase(lru_.back().key);
     lru_.pop_back();
   }
-  lru_.push_front(Entry{digest, std::move(answer_json)});
-  entries_[digest] = lru_.begin();
+  lru_.push_front(Entry{key, std::move(answer_json)});
+  entries_[key] = lru_.begin();
 }
 
 }  // namespace coopcr::serve

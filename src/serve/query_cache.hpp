@@ -1,16 +1,18 @@
 // coopcr/serve/query_cache.hpp
 //
-// Digest-keyed LRU cache of rendered advisor answers.
+// LRU cache of rendered advisor answers, keyed by the canonical query text.
 //
 // The cache stores the *rendered* answer text, not the AdvisorAnswer
 // object: a hit returns the exact bytes the first evaluation produced, so
 // repeated queries are byte-identical by construction — the determinism
 // contract cli/coopcr_advisor's golden tests pin down. Keys are
-// AdvisorQuery::digest() (fnv1a64 over the canonical query text, which
-// sorts coords, so coordinate order does not fragment the cache).
+// AdvisorQuery::canonical() itself — it sorts coords, so coordinate order
+// does not fragment the cache, and two distinct queries can never share an
+// entry (a fixed-width digest of the text could collide).
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <string>
@@ -18,19 +20,19 @@
 
 namespace coopcr::serve {
 
-/// Fixed-capacity LRU map: query digest -> rendered answer JSON.
+/// Fixed-capacity LRU map: canonical query text -> rendered answer JSON.
 class QueryCache {
  public:
   /// `capacity` 0 disables caching (every lookup misses, inserts no-op).
   explicit QueryCache(std::size_t capacity = 256) : capacity_(capacity) {}
 
-  /// The cached answer for `digest`, or nullptr on a miss. A hit marks the
+  /// The cached answer for `key`, or nullptr on a miss. A hit marks the
   /// entry most-recently-used. Counts toward hits()/misses().
-  const std::string* lookup(std::uint64_t digest);
+  const std::string* lookup(const std::string& key);
 
-  /// Insert (or refresh) the answer for `digest`, evicting the
+  /// Insert (or refresh) the answer for `key`, evicting the
   /// least-recently-used entry when full.
-  void insert(std::uint64_t digest, std::string answer_json);
+  void insert(const std::string& key, std::string answer_json);
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -39,13 +41,13 @@ class QueryCache {
 
  private:
   struct Entry {
-    std::uint64_t digest;
+    std::string key;
     std::string answer;
   };
 
   std::size_t capacity_;
   std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> entries_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -1,12 +1,9 @@
 // coopcr/util/hash.hpp
 //
-// FNV-1a 64-bit, the one hash behind journal checksums, spec and grid
-// digests and advisor query-cache keys. Its values are written into
-// journals and name ingested artifacts, so they must never change — which
-// is why the default offset basis stays 1469598103934665603, the published
-// 14695981039346656037 with its last digit dropped. The step is standard
-// FNV-1a; seeded with the published basis it reproduces the published test
-// vectors.
+// FNV-1a 64-bit with the published offset basis and prime, the one hash
+// behind journal checksums and spec and grid digests. Journals carry its
+// values, so a change to it is a journal format change
+// (dist/journal.hpp kJournalFormatVersion).
 
 #pragma once
 
@@ -15,7 +12,7 @@
 
 namespace coopcr {
 
-inline constexpr std::uint64_t kFnv1a64Offset = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnv1a64Offset = 14695981039346656037ull;
 
 /// FNV-1a 64-bit over `n` bytes at `data`, continuing from `state`. Feeding
 /// pieces in order gives the same value as one call over their

@@ -161,7 +161,7 @@ TEST(EnergyAwarePeriod, BeatsDalyPeriodsWhenIoPowerDominates) {
 TEST(CoopEnergyStrategy, ResolvesFromTheRegistries) {
   const StrategySpec direct = coop_energy();
   EXPECT_EQ(direct.name(), "coop-energy");
-  EXPECT_EQ(direct.coordination().name(), "Least-Waste");
+  EXPECT_EQ(direct.coordination().name, "Least-Waste");
   EXPECT_EQ(direct.period(), energy_period());
   EXPECT_EQ(direct.offset(), RequestOffset::kFullPeriod);
   EXPECT_TRUE(direct.serialized());
@@ -175,7 +175,7 @@ TEST(CoopEnergyStrategy, ResolvesFromTheRegistries) {
   EXPECT_EQ(composed.period(), energy_period());
   EXPECT_EQ(composed.offset(), RequestOffset::kFullPeriod);
   const StrategySpec ordered = strategy_from_name("Ordered-Energy");
-  EXPECT_EQ(ordered.coordination().name(), "Ordered");
+  EXPECT_EQ(ordered.coordination().name, "Ordered");
   EXPECT_EQ(ordered.offset(), RequestOffset::kPeriodMinusCommit);
 }
 

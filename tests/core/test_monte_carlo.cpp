@@ -95,18 +95,6 @@ TEST(MonteCarlo, OutcomeLookupByName) {
   EXPECT_THROW(report.outcome("Nope"), Error);
 }
 
-TEST(MonteCarlo, KeepResultsRetainsPerReplicaDetail) {
-  const auto scenario = tiny_scenario();
-  MonteCarloOptions options;
-  options.replicas = 2;
-  options.threads = 1;
-  options.keep_results = true;
-  const auto report = run_monte_carlo(
-      scenario, {oblivious_fixed()}, options);
-  ASSERT_EQ(report.outcomes[0].results.size(), 2u);
-  EXPECT_GT(report.outcomes[0].results[0].events, 0u);
-}
-
 TEST(MonteCarlo, OptionsFromEnvironment) {
   ::setenv("COOPCR_REPLICAS", "17", 1);
   ::setenv("COOPCR_THREADS", "3", 1);
@@ -172,22 +160,37 @@ TEST(MonteCarlo, RejectsBadArguments) {
   EXPECT_THROW(run_monte_carlo(unbuilt, paper_strategies(), options), Error);
 }
 
-TEST(MonteCarlo, ReduceTwiceNamesTheFootgun) {
+TEST(MonteCarlo, ReduceIsARepeatableFoldOfCompletedSlots) {
+  // reduce() is a pure function of the slots: it names a missing task, and
+  // on a complete campaign every call — snapshot() included — returns the
+  // same report and leaves the campaign open for extend().
   MonteCarloOptions options;
-  options.replicas = 1;
+  options.replicas = 2;
   MonteCarloCampaign campaign(tiny_scenario(), {least_waste()}, options);
   campaign.run_replica_task(0);
-  campaign.reduce();
   try {
-    campaign.reduce();
-    FAIL() << "expected the second reduce() to throw";
+    (void)campaign.reduce();
+    FAIL() << "expected reduce() to reject the missing task";
   } catch (const Error& e) {
-    // The message must say *what* went wrong, not just that it did — the
-    // single-use contract is easy to trip from generic runner code.
-    EXPECT_NE(std::string(e.what()).find("campaign already reduced"),
+    EXPECT_NE(std::string(e.what()).find("replica task 1 never ran"),
               std::string::npos)
         << e.what();
   }
+  EXPECT_THROW((void)campaign.snapshot(), Error);
+
+  campaign.run_replica_task(1);
+  const MonteCarloReport first = campaign.reduce();
+  const MonteCarloReport second = campaign.reduce();
+  const MonteCarloReport snap = campaign.snapshot();
+  EXPECT_EQ(first.outcomes[0].waste_ratio.samples(),
+            second.outcomes[0].waste_ratio.samples());
+  EXPECT_EQ(first.outcomes[0].waste_ratio.samples(),
+            snap.outcomes[0].waste_ratio.samples());
+  EXPECT_EQ(first.baseline_useful.samples(), second.baseline_useful.samples());
+
+  campaign.extend(3);
+  campaign.run_replica_task(2);
+  EXPECT_EQ(campaign.reduce().outcomes[0].waste_ratio.size(), 3u);
 }
 
 TEST(MonteCarlo, SlotExportAndInstallRoundTrip) {
@@ -226,20 +229,13 @@ TEST(MonteCarlo, InstallSlotRejectsDuplicatesAndBadShapes) {
   ReplicaSlot malformed = campaign.slot(0);
   malformed.per_strategy.clear();
   EXPECT_THROW(campaign.install_slot(1, malformed), Error);
-
-  // keep_results campaigns cannot accept foreign slots (no SimulationResult
-  // travels with them).
-  MonteCarloOptions keep = options;
-  keep.keep_results = true;
-  MonteCarloCampaign keeper(tiny_scenario(), {least_waste()}, keep);
-  EXPECT_THROW(keeper.install_slot(0, campaign.slot(0)), Error);
 }
 
 TEST(MonteCarlo, SnapshotExtendLoopIsBitIdenticalToFixedCount) {
   // The sequential-stopping primitive: run 4 replicas, snapshot, grow to 8,
   // run the tail, reduce. Every sample must equal the fixed-count 8-replica
   // campaign's — extend() adds replicas without perturbing existing slots,
-  // and snapshot() is non-destructive.
+  // and the fold is non-destructive.
   MonteCarloOptions options;
   options.replicas = 4;
   MonteCarloCampaign campaign(tiny_scenario(), {least_waste()}, options);
@@ -297,29 +293,6 @@ TEST(MonteCarlo, InstallSlotStillWorksAfterSnapshotAndExtend) {
   const auto& rs = reference.outcomes[0].waste_ratio.samples();
   ASSERT_EQ(ms.size(), rs.size());
   for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(ms[i], rs[i]);
-}
-
-TEST(MonteCarlo, SnapshotRequiresCompletionAndRejectsKeepResults) {
-  MonteCarloOptions options;
-  options.replicas = 2;
-  MonteCarloCampaign incomplete(tiny_scenario(), {least_waste()}, options);
-  incomplete.run_replica_task(0);
-  EXPECT_THROW(incomplete.snapshot(), Error);  // task 1 never ran
-
-  MonteCarloOptions keep = options;
-  keep.keep_results = true;
-  MonteCarloCampaign keeper(tiny_scenario(), {least_waste()}, keep);
-  keeper.run_replica_task(0);
-  keeper.run_replica_task(1);
-  EXPECT_THROW(keeper.snapshot(), Error);
-
-  // After the destructive reduce(), both snapshot() and extend() are dead.
-  MonteCarloCampaign done(tiny_scenario(), {least_waste()}, options);
-  done.run_replica_task(0);
-  done.run_replica_task(1);
-  done.reduce();
-  EXPECT_THROW(done.snapshot(), Error);
-  EXPECT_THROW(done.extend(4), Error);
 }
 
 TEST(MonteCarlo, DifferentSeedsDifferentSamples) {

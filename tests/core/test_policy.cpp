@@ -1,5 +1,6 @@
-// Unit tests for the strategy parts (core/policy.hpp): period and offset
-// values, token-policy construction, and the name-keyed registry.
+// Unit tests for the strategy parts (core/policy.hpp): period, offset and
+// coordination values, token-policy construction, and the name-keyed
+// registry.
 
 #include "core/policy.hpp"
 
@@ -74,46 +75,62 @@ TEST(RequestOffset, FullPeriodIgnoresCommit) {
   EXPECT_DOUBLE_EQ(request_delay(offset, 105.0, 5.0), 105.0);
 }
 
-// --- coordination policies --------------------------------------------------
+// --- coordinations ---------------------------------------------------------
 
-TEST(CoordinationPolicy, ObliviousIsConcurrent) {
-  const auto policy = oblivious_coordination();
-  EXPECT_FALSE(policy->serialized());
-  EXPECT_FALSE(policy->non_blocking_wait());
-  EXPECT_EQ(policy->make_token_policy({}), nullptr);
+TEST(Coordination, ObliviousIsTheValueWithoutAFactory) {
+  const Coordination oblivious = oblivious_coordination();
+  EXPECT_EQ(oblivious.name, "Oblivious");
+  EXPECT_FALSE(oblivious.serialized());
+  EXPECT_FALSE(oblivious.non_blocking_wait);
+  EXPECT_EQ(oblivious.token_policy, nullptr);
+  EXPECT_EQ(oblivious.default_offset, RequestOffset::kPeriodMinusCommit);
 }
 
-TEST(CoordinationPolicy, OrderedVariantsDifferOnlyInWaitBehaviour) {
-  EXPECT_FALSE(ordered_coordination()->non_blocking_wait());
-  EXPECT_TRUE(ordered_nb_coordination()->non_blocking_wait());
-  for (const auto& policy :
+TEST(Coordination, OrderedVariantsDifferOnlyInWaitBehaviour) {
+  EXPECT_FALSE(ordered_coordination().non_blocking_wait);
+  EXPECT_TRUE(ordered_nb_coordination().non_blocking_wait);
+  for (const Coordination& c :
        {ordered_coordination(), ordered_nb_coordination()}) {
-    EXPECT_TRUE(policy->serialized());
-    const auto token = policy->make_token_policy({});
-    ASSERT_NE(token, nullptr);
-    EXPECT_EQ(token->name(), "fcfs");
+    EXPECT_TRUE(c.serialized()) << c.name;
+    EXPECT_EQ(c.default_offset, RequestOffset::kPeriodMinusCommit) << c.name;
+    const auto token = c.token_policy({});
+    ASSERT_NE(token, nullptr) << c.name;
+    EXPECT_NE(dynamic_cast<FcfsPolicy*>(token.get()), nullptr) << c.name;
   }
 }
 
-TEST(CoordinationPolicy, LeastWasteBuildsConfiguredArbiter) {
+TEST(Coordination, LeastWasteBuildsConfiguredArbiter) {
   const TokenPolicyContext ctx{units::years(2), units::gb_per_s(40), 1};
-  const auto token = least_waste_coordination()->make_token_policy(ctx);
-  ASSERT_NE(token, nullptr);
-  EXPECT_EQ(token->name(), "least-waste");
-  EXPECT_EQ(least_waste_coordination()->default_offset(),
-            RequestOffset::kFullPeriod);
-  EXPECT_EQ(ordered_coordination()->default_offset(),
-            RequestOffset::kPeriodMinusCommit);
+  for (const LeastWasteVariant variant :
+       {LeastWasteVariant::kPaperEq12, LeastWasteVariant::kMarginal}) {
+    const Coordination c = least_waste_coordination(variant);
+    EXPECT_TRUE(c.serialized());
+    EXPECT_TRUE(c.non_blocking_wait);
+    EXPECT_EQ(c.default_offset, RequestOffset::kFullPeriod);
+    const auto token = c.token_policy(ctx);
+    EXPECT_NE(dynamic_cast<LeastWastePolicy*>(token.get()), nullptr);
+  }
+  EXPECT_EQ(least_waste_coordination().name, "Least-Waste");
+  EXPECT_EQ(least_waste_coordination(LeastWasteVariant::kMarginal).name,
+            "Least-Waste:marginal");
 }
 
-TEST(CoordinationPolicy, AblationBaselinesAreSerializedNonBlocking) {
+TEST(Coordination, AblationBaselinesAreSerializedNonBlocking) {
   const TokenPolicyContext ctx{units::years(2), units::gb_per_s(40), 7};
-  for (const auto& policy :
-       {random_coordination(), smallest_first_coordination()}) {
-    EXPECT_TRUE(policy->serialized());
-    EXPECT_TRUE(policy->non_blocking_wait());
-    EXPECT_NE(policy->make_token_policy(ctx), nullptr);
+  const Coordination random = random_coordination();
+  const Coordination smallest = smallest_first_coordination();
+  EXPECT_EQ(random.name, "Random");
+  EXPECT_EQ(smallest.name, "Smallest-First");
+  for (const Coordination* c : {&random, &smallest}) {
+    EXPECT_TRUE(c->serialized()) << c->name;
+    EXPECT_TRUE(c->non_blocking_wait) << c->name;
+    EXPECT_EQ(c->default_offset, RequestOffset::kPeriodMinusCommit);
   }
+  EXPECT_NE(dynamic_cast<RandomPolicy*>(random.token_policy(ctx).get()),
+            nullptr);
+  EXPECT_NE(
+      dynamic_cast<SmallestFirstPolicy*>(smallest.token_policy(ctx).get()),
+      nullptr);
 }
 
 // --- registry ---------------------------------------------------------------
@@ -122,26 +139,27 @@ TEST(RegistryTest, BuiltinCoordinationsArePreSeeded) {
   for (const char* name : {"Oblivious", "Ordered", "Ordered-NB", "Least-Waste",
                            "Random", "Smallest-First"}) {
     ASSERT_TRUE(coordination_registry().contains(name)) << name;
-    EXPECT_EQ(coordination_registry().make(name)->name(), name);
+    EXPECT_EQ(coordination_registry().make(name).name, name);
   }
 }
 
 TEST(RegistryTest, MakeThrowsOnUnknownName) {
   EXPECT_THROW(coordination_registry().make("nope"), Error);
-  Registry<std::shared_ptr<const IoCoordinationPolicy>> empty;
+  Registry<Coordination> empty;
   EXPECT_THROW(empty.make("Oblivious"), Error);
-  EXPECT_THROW(empty.add(nullptr), Error);
+  EXPECT_THROW(empty.add(Coordination{}), Error);  // unnamed value
+  EXPECT_THROW(empty.add("Oblivious", nullptr), Error);
 }
 
 TEST(RegistryTest, NamesAreSortedAndLastWriterWins) {
-  Registry<std::shared_ptr<const IoCoordinationPolicy>> registry;
+  Registry<Coordination> registry;
   registry.add(ordered_coordination());
   registry.add(oblivious_coordination());
   EXPECT_EQ(registry.names(),
             (std::vector<std::string>{"Oblivious", "Ordered"}));
   // Re-registering a name shadows the earlier factory.
   registry.add("Ordered", [] { return ordered_nb_coordination(); });
-  EXPECT_EQ(registry.make("Ordered")->name(), "Ordered-NB");
+  EXPECT_EQ(registry.make("Ordered").name, "Ordered-NB");
   EXPECT_EQ(registry.names().size(), 2u);
   const auto names = coordination_registry().names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));

@@ -1,5 +1,6 @@
 // Unit tests for the composable strategy API: paper compositions, naming,
-// name round-tripping through the registry, and registry extensibility.
+// name round-tripping through the registry, registry extensibility, and
+// inline coordination values in a full simulation.
 
 #include "core/strategy.hpp"
 
@@ -7,8 +8,12 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
+#include "core/monte_carlo.hpp"
+#include "core/scenario.hpp"
 #include "util/error.hpp"
+#include "util/units.hpp"
 
 namespace coopcr {
 namespace {
@@ -76,7 +81,7 @@ TEST(Strategy, DisplayNameOverride) {
   EXPECT_EQ(least_waste().name(), "Least-Waste");
   const StrategySpec renamed = ordered_nb_daly().named("chassis");
   EXPECT_EQ(renamed.name(), "chassis");
-  EXPECT_EQ(renamed.coordination().name(), "Ordered-NB");
+  EXPECT_EQ(renamed.coordination().name, "Ordered-NB");
 }
 
 // --- round-tripping ---------------------------------------------------------
@@ -109,7 +114,7 @@ TEST(Strategy, CompositionalFallbackUsesCoordinationRegistry) {
   // coordination is registered and "Daly" names a period, so the
   // compositional fallback assembles it.
   const StrategySpec s = strategy_from_name("Smallest-First-Daly");
-  EXPECT_EQ(s.coordination().name(), "Smallest-First");
+  EXPECT_EQ(s.coordination().name, "Smallest-First");
   EXPECT_EQ(s.period(), daly_period());
   EXPECT_EQ(s.offset(), RequestOffset::kPeriodMinusCommit);
   EXPECT_TRUE(s.serialized());
@@ -157,7 +162,7 @@ TEST(Strategy, CommitSuffixResolvesThroughRegistryAliases) {
   const StrategySpec tiered = strategy_from_name("coop-daly-tiered");
   EXPECT_EQ(tiered.name(), "Least-Waste-tiered");
   EXPECT_TRUE(tiered.tiered());
-  EXPECT_EQ(tiered.coordination().name(), "Least-Waste");
+  EXPECT_EQ(tiered.coordination().name, "Least-Waste");
   EXPECT_EQ(tiered.period(), daly_period());
   EXPECT_EQ(tiered.offset(), RequestOffset::kFullPeriod);
   // The suffix also composes with the compositional fallback.
@@ -205,34 +210,104 @@ TEST(StrategyRegistryTest, RegisteredCustomStrategyIsReachableByName) {
   ASSERT_TRUE(strategy_registry().contains("Test-Custom"));
   const StrategySpec s = strategy_from_name("Test-Custom");
   EXPECT_EQ(s.name(), "Test-Custom");
-  EXPECT_EQ(s.coordination().name(), "Smallest-First");
+  EXPECT_EQ(s.coordination().name, "Smallest-First");
   EXPECT_EQ(s.offset(), RequestOffset::kFullPeriod);
 }
 
-TEST(StrategyRegistryTest, CustomCoordinationPolicyComposesByName) {
-  // A brand-new serialized coordination policy, registered on its axis,
-  // becomes reachable through the compositional name fallback with no edits
-  // to core/strategy.*.
+TEST(StrategyRegistryTest, CustomCoordinationComposesByName) {
+  // A brand-new serialized coordination, registered on its axis, becomes
+  // reachable through the compositional name fallback with no edits to
+  // core/strategy.*: the custom arbiter is the only class to write.
   class YoungestFirst final : public TokenPolicy {
    public:
     std::size_t select(const std::vector<PendingEntry>& pending,
                        sim::Time) override {
       return pending.size() - 1;  // newest request (arrival-ordered queue)
     }
-    std::string name() const override { return "test-youngest"; }
   };
-  const auto custom = std::make_shared<const SerialCoordination>(
-      "Test-Youngest", /*non_blocking_wait=*/true,
+  coordination_registry().add(Coordination{
+      "Test-Youngest", /*non_blocking_wait=*/true, RequestOffset::kFullPeriod,
       [](const TokenPolicyContext&) {
         return std::make_unique<YoungestFirst>();
-      });
-  coordination_registry().add(custom);
+      }});
   const StrategySpec s = strategy_from_name("Test-Youngest-Daly");
-  EXPECT_EQ(s.coordination().name(), "Test-Youngest");
+  EXPECT_EQ(s.coordination().name, "Test-Youngest");
+  EXPECT_TRUE(s.serialized());
   EXPECT_TRUE(s.non_blocking_wait());
-  const auto token = s.coordination().make_token_policy({});
-  ASSERT_NE(token, nullptr);
-  EXPECT_EQ(token->name(), "test-youngest");
+  EXPECT_EQ(s.offset(), RequestOffset::kFullPeriod);  // its default offset
+  const auto token = s.coordination().token_policy({});
+  EXPECT_NE(dynamic_cast<YoungestFirst*>(token.get()), nullptr);
+}
+
+// --- inline coordinations in a full simulation ------------------------------
+
+ScenarioConfig stressed_scenario() {
+  return ScenarioBuilder::cielo_apex(/*seed=*/0xD373C7ull)
+      .pfs_bandwidth(units::gb_per_s(40))
+      .node_mtbf(units::years(2))
+      .min_makespan(units::days(10))
+      .segment(units::days(1), units::days(9))
+      .build();
+}
+
+TEST(InlineCoordination, UnregisteredFcfsValueReproducesOrderedDaly) {
+  // A coordination is just a value: one built inline and never registered,
+  // with the same wait behaviour, arbiter and offset as Ordered, simulates
+  // exactly like the built-in Ordered-Daly.
+  const Coordination fcfs{"Test-FCFS", /*non_blocking_wait=*/false,
+                          RequestOffset::kPeriodMinusCommit,
+                          [](const TokenPolicyContext&) {
+                            return std::make_unique<FcfsPolicy>();
+                          }};
+  ASSERT_FALSE(coordination_registry().contains("Test-FCFS"));
+  const StrategySpec inline_spec{fcfs, daly_period(), fcfs.default_offset};
+  EXPECT_EQ(inline_spec.name(), "Test-FCFS-Daly");
+
+  const ScenarioConfig scenario = stressed_scenario();
+  const SimulationResult a = run_replica(scenario, inline_spec, 0).result;
+  const SimulationResult b = run_replica(scenario, ordered_daly(), 0).result;
+  EXPECT_GT(b.counters.checkpoints_completed, 0u);
+  EXPECT_EQ(a.useful, b.useful);
+  EXPECT_EQ(a.wasted, b.wasted);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.events_scheduled, b.events_scheduled);
+  const SimulationCounters& ca = a.counters;
+  const SimulationCounters& cb = b.counters;
+  EXPECT_EQ(ca.failures_total, cb.failures_total);
+  EXPECT_EQ(ca.failures_on_jobs, cb.failures_on_jobs);
+  EXPECT_EQ(ca.checkpoint_requests, cb.checkpoint_requests);
+  EXPECT_EQ(ca.checkpoints_completed, cb.checkpoints_completed);
+  EXPECT_EQ(ca.checkpoints_aborted, cb.checkpoints_aborted);
+  EXPECT_EQ(ca.checkpoints_cancelled, cb.checkpoints_cancelled);
+  EXPECT_EQ(ca.jobs_started, cb.jobs_started);
+  EXPECT_EQ(ca.jobs_completed, cb.jobs_completed);
+  EXPECT_EQ(ca.restarts_submitted, cb.restarts_submitted);
+  EXPECT_EQ(ca.io_requests, cb.io_requests);
+  EXPECT_EQ(ca.bb_absorbs, cb.bb_absorbs);
+  EXPECT_EQ(ca.bb_fallbacks, cb.bb_fallbacks);
+  EXPECT_EQ(ca.bb_drains_completed, cb.bb_drains_completed);
+  EXPECT_EQ(ca.bb_drains_aborted, cb.bb_drains_aborted);
+  EXPECT_EQ(ca.bb_drains_withdrawn, cb.bb_drains_withdrawn);
+  EXPECT_EQ(ca.bb_drains_superseded, cb.bb_drains_superseded);
+}
+
+TEST(InlineCoordination, NullTokenPolicyIsRejectedByName) {
+  // A serialized coordination must build an arbiter; a factory that returns
+  // null is a definition bug, reported with the coordination's name.
+  const Coordination broken{
+      "Test-Null", /*non_blocking_wait=*/true,
+      RequestOffset::kPeriodMinusCommit,
+      [](const TokenPolicyContext&) -> std::unique_ptr<TokenPolicy> {
+        return nullptr;
+      }};
+  ASSERT_TRUE(broken.serialized());
+  try {
+    run_replica(stressed_scenario(), StrategySpec{broken, daly_period()}, 0);
+    FAIL() << "simulate accepted a null token policy";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("Test-Null"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //    and actually reduces variance (vr_factor > 1) on a failure-noise
 //    dominated row, where its premise holds;
 //  * option validation: odd replica counts are rejected under antithetic
-//    pairing, and keep_results keeps one result per replica;
+//    pairing, and every slot, partner included, is its prepare_replica run;
 //  * estimate_contrast arithmetic — per-replica paired differences, the
 //    unpaired two-sample vr_factor credit and antithetic composition —
 //    pinned to hand-computed values;
@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/monte_carlo.hpp"
@@ -308,34 +309,60 @@ TEST(VarianceReduction, CombinedEstimatorStillBeatsPlainOnIsolatedRow) {
   EXPECT_GT(report.outcomes[0].vr.estimate.vr_factor, 1.05);
 }
 
-TEST(VarianceReduction, AntitheticRejectsOddReplicasAndKeepsResults) {
+void expect_same_metrics(const ReplicaStrategyMetrics& a,
+                         const ReplicaStrategyMetrics& b, int replica) {
+  EXPECT_EQ(a.waste_ratio, b.waste_ratio) << "replica " << replica;
+  EXPECT_EQ(a.efficiency, b.efficiency) << "replica " << replica;
+  EXPECT_EQ(a.utilization, b.utilization) << "replica " << replica;
+  EXPECT_EQ(a.failures_hit, b.failures_hit) << "replica " << replica;
+  EXPECT_EQ(a.checkpoints, b.checkpoints) << "replica " << replica;
+  EXPECT_EQ(a.energy_joules, b.energy_joules) << "replica " << replica;
+  EXPECT_EQ(a.energy_waste_ratio, b.energy_waste_ratio)
+      << "replica " << replica;
+  EXPECT_EQ(a.ckpt_waste_ratio, b.ckpt_waste_ratio) << "replica " << replica;
+}
+
+TEST(VarianceReduction, AntitheticRejectsOddReplicasAndPairsPreparedReplicas) {
   const ScenarioConfig scenario = tiny_scenario();
   MonteCarloOptions odd;
   odd.replicas = 3;
   odd.antithetic = true;
   EXPECT_THROW(run_monte_carlo(scenario, {least_waste()}, odd), Error);
 
-  // Every replica, partner included, keeps its full result; the primal
-  // members' results equal the plain run's.
+  // Every slot, partner included, is its prepare_replica run under the
+  // campaign's own pipeline, and every primal slot equals the plain
+  // campaign's slot bit for bit.
   MonteCarloOptions plain;
   plain.replicas = 4;
-  plain.threads = 2;
-  plain.keep_results = true;
   MonteCarloOptions anti = plain;
   anti.antithetic = true;
-  const auto p = run_monte_carlo(scenario, {least_waste()}, plain);
-  const auto a = run_monte_carlo(scenario, {least_waste()}, anti);
-  const auto& pr = p.outcomes[0].results;
-  const auto& ar = a.outcomes[0].results;
-  ASSERT_EQ(ar.size(), 4u);
-  for (std::size_t r = 0; r < ar.size(); r += 2) {
-    EXPECT_EQ(ar[r].useful, pr[r].useful) << "replica " << r;
-    EXPECT_EQ(ar[r].wasted, pr[r].wasted) << "replica " << r;
-    EXPECT_EQ(ar[r].events, pr[r].events) << "replica " << r;
-    EXPECT_EQ(ar[r].events_scheduled, pr[r].events_scheduled)
-        << "replica " << r;
-    EXPECT_EQ(ar[r].counters.failures_on_jobs, pr[r].counters.failures_on_jobs)
-        << "replica " << r;
+  MonteCarloCampaign p(scenario, {least_waste()}, plain);
+  MonteCarloCampaign a(scenario, {least_waste()}, anti);
+  for (int r = 0; r < 4; ++r) {
+    p.run_replica_task(r);
+    a.run_replica_task(r);
+    SimWorkspace workspace;
+    const ReplicaInputs in = prepare_replica(
+        scenario, static_cast<std::uint64_t>(r), /*antithetic=*/true,
+        workspace);
+    SimulationConfig cfg = scenario.simulation;
+    cfg.strategy = least_waste();
+    const ReplicaStrategyMetrics m = strategy_metrics(
+        simulate(cfg, in.jobs, in.failures, workspace),
+        in.slot.baseline_useful, in.slot.baseline_useful_energy);
+    const ReplicaSlot& slot = a.slot(r);
+    EXPECT_EQ(slot.baseline_useful, in.slot.baseline_useful) << r;
+    EXPECT_EQ(slot.baseline_useful_energy, in.slot.baseline_useful_energy)
+        << r;
+    ASSERT_EQ(slot.per_strategy.size(), 1u);
+    expect_same_metrics(slot.per_strategy[0], m, r);
+    if (r % 2 == 0) {
+      EXPECT_EQ(slot.baseline_useful, p.slot(r).baseline_useful) << r;
+      expect_same_metrics(slot.per_strategy[0], p.slot(r).per_strategy[0], r);
+    } else {
+      // The partner is a genuinely different (mirrored) draw.
+      EXPECT_NE(slot.baseline_useful, p.slot(r).baseline_useful) << r;
+    }
   }
 }
 

@@ -362,16 +362,7 @@ TEST_F(DistRunnerTest, AdaptiveJournaledSweepResumesMidRoundByteIdentically) {
   EXPECT_EQ(json_bytes(reference), json_bytes(resumed));
 }
 
-TEST_F(DistRunnerTest, RejectsKeepResultsAndBadShardCounts) {
-  exp::ExperimentSpec spec = grid_spec();
-  MonteCarloOptions mc = spec.campaign_options();
-  mc.keep_results = true;
-  spec.options(mc);
-  dist::DistOptions options;
-  options.shards = 2;
-  dist::DistSweepRunner runner(options);
-  EXPECT_THROW(runner.run(spec), Error);
-
+TEST_F(DistRunnerTest, RejectsBadShardCounts) {
   dist::DistOptions zero;
   zero.shards = 0;
   EXPECT_THROW(dist::DistSweepRunner{zero}, Error);

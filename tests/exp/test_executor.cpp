@@ -33,24 +33,14 @@ std::string json_bytes(const exp::ExperimentReport& report) {
   return oss.str();
 }
 
-TEST(SweepExecutor, BackendNameParsing) {
-  EXPECT_EQ(exp::executor_backend_from_name("inprocess"),
-            exp::ExecutorBackend::kInProcess);
-  EXPECT_EQ(exp::executor_backend_from_name("in-process"),
-            exp::ExecutorBackend::kInProcess);
-  EXPECT_EQ(exp::executor_backend_from_name("dist"),
-            exp::ExecutorBackend::kDist);
-  EXPECT_THROW(exp::executor_backend_from_name("quantum"), Error);
-}
-
-TEST(SweepExecutor, FactoryBuildsTheSelectedBackend) {
-  exp::ExecutorOptions in_process;
-  in_process.backend = exp::ExecutorBackend::kInProcess;
-  EXPECT_EQ(exp::make_sweep_executor(in_process)->backend_name(),
-            "in-process");
+TEST(SweepExecutor, ShardCountSelectsTheEngine) {
+  // Default options run in-process; any positive shard count runs the
+  // dist engine with that many workers.
+  const exp::ExecutorOptions defaults;
+  EXPECT_EQ(defaults.dist.shards, 0);
+  EXPECT_EQ(exp::make_sweep_executor(defaults)->backend_name(), "in-process");
 
   exp::ExecutorOptions dist;
-  dist.backend = exp::ExecutorBackend::kDist;
   dist.dist.shards = 2;
   EXPECT_EQ(exp::make_sweep_executor(dist)->backend_name(), "dist");
 }
@@ -64,7 +54,6 @@ TEST(SweepExecutor, BackendsProduceByteIdenticalReports) {
       exp::make_sweep_executor(in_process)->run(spec);
 
   exp::ExecutorOptions dist;
-  dist.backend = exp::ExecutorBackend::kDist;
   dist.dist.shards = 2;
   const exp::ExperimentReport b = exp::make_sweep_executor(dist)->run(spec);
 

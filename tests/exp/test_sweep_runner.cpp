@@ -133,18 +133,17 @@ TEST(SweepRunner, PointCallbackFiresInGridOrder) {
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }
 
-TEST(SweepRunner, CampaignReduceIsSingleUseAndRequiresCompletion) {
+TEST(SweepRunner, CampaignReduceRequiresCompletion) {
   MonteCarloOptions options;
   options.replicas = 2;
   MonteCarloCampaign incomplete(tiny_base().build(), {least_waste()}, options);
   incomplete.run_replica_task(0);
-  EXPECT_THROW(incomplete.reduce(), Error);  // replica 1 never ran
+  EXPECT_THROW((void)incomplete.reduce(), Error);  // replica 1 never ran
 
   MonteCarloCampaign campaign(tiny_base().build(), {least_waste()}, options);
   campaign.run_replica_task(0);
   campaign.run_replica_task(1);
-  EXPECT_NO_THROW(campaign.reduce());
-  EXPECT_THROW(campaign.reduce(), Error);  // outputs already moved out
+  EXPECT_NO_THROW((void)campaign.reduce());
 }
 
 TEST(SweepRunner, PropagatesCampaignErrors) {

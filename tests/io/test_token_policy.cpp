@@ -196,12 +196,5 @@ TEST(LeastWaste, WasteOfIndexOutOfRangeThrows) {
   EXPECT_THROW(policy.waste_of(pending, 5, 0.0), Error);
 }
 
-TEST(PolicyNames, AreStable) {
-  EXPECT_EQ(FcfsPolicy().name(), "fcfs");
-  EXPECT_EQ(RandomPolicy(1).name(), "random");
-  EXPECT_EQ(SmallestFirstPolicy().name(), "smallest-first");
-  EXPECT_EQ(LeastWastePolicy(1.0, 1.0).name(), "least-waste");
-}
-
 }  // namespace
 }  // namespace coopcr

@@ -150,19 +150,18 @@ TEST(Advisor, QueryCanonicalisationAndCacheEviction) {
   serve::AdvisorQuery b;
   b.coords = {{"y", 2.0}, {"x", 1.0}};
   EXPECT_EQ(a.canonical(), b.canonical());
-  EXPECT_EQ(a.digest(), b.digest());
   serve::AdvisorQuery c = a;
   c.metric = "efficiency";
-  EXPECT_NE(a.digest(), c.digest());
+  EXPECT_NE(a.canonical(), c.canonical());
 
   serve::QueryCache cache(/*capacity=*/2);
-  cache.insert(1, "one");
-  cache.insert(2, "two");
-  ASSERT_NE(cache.lookup(1), nullptr);  // 1 is now most-recently-used
-  cache.insert(3, "three");             // evicts 2
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  ASSERT_NE(cache.lookup(1), nullptr);
-  EXPECT_EQ(*cache.lookup(3), "three");
+  cache.insert("1", "one");
+  cache.insert("2", "two");
+  ASSERT_NE(cache.lookup("1"), nullptr);  // 1 is now most-recently-used
+  cache.insert("3", "three");             // evicts 2
+  EXPECT_EQ(cache.lookup("2"), nullptr);
+  ASSERT_NE(cache.lookup("1"), nullptr);
+  EXPECT_EQ(*cache.lookup("3"), "three");
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.hits(), 3u);
   EXPECT_EQ(cache.misses(), 1u);

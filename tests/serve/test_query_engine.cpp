@@ -143,7 +143,6 @@ TEST(QueryEngine, OutOfHullFallsBackThroughBothBackendsIdentically) {
   serve::QueryEngine engine_a(store, in_process);
 
   serve::EngineOptions dist = in_process;
-  dist.executor.backend = exp::ExecutorBackend::kDist;
   dist.executor.dist.shards = 2;
   serve::QueryEngine engine_b(store, dist);
 
