@@ -53,9 +53,10 @@ struct MonteCarloOptions {
   /// count; the coefficient is fit per grid point at reduce time.
   bool control_variate = false;
   /// > 0 enables sequential stopping: the sweep backends (exp::SweepRunner
-  /// and dist::DistSweepRunner) grow each campaign in doubling rounds until
-  /// the 95% CI of every strategy's waste-ratio estimate is at most this
-  /// wide (or max_replicas is hit). run_monte_carlo rejects it.
+  /// and dist::DistSweepRunner) grow each campaign in rounds sized from its
+  /// measured CI (exp::sequential_round_size) until the 95% CI of every
+  /// strategy's waste-ratio estimate is at most this wide (or max_replicas
+  /// is hit). run_monte_carlo rejects it.
   double target_ci_width = 0.0;
   /// Replica cap for sequential stopping; 0 means 64 x replicas.
   int max_replicas = 0;

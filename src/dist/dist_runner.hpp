@@ -65,9 +65,9 @@ class DistSweepRunner final : public exp::SweepExecutor {
   /// Called after each grid point's report is reduced, in grid order —
   /// same contract as exp::SweepRunner::on_point. Sequential stopping
   /// (target_ci_width) runs inside run(): the coordinator grows every point
-  /// in journaled doubling rounds. Drivers that pick their next campaigns
-  /// from earlier results, like fig3's bisection, run in-process on
-  /// exp::SweepRunner::run_batch.
+  /// in journaled rounds sized by exp::next_sequential_round. Drivers that
+  /// pick their next campaigns from earlier results, like fig3's bisection,
+  /// run in-process on exp::SweepRunner::run_batch.
   DistSweepRunner& on_point(PointCallback callback) override;
 
   /// Expand `spec` and run the full grid across the worker fleet. Throws

@@ -147,15 +147,26 @@ JournalReplay replay_journal(const std::string& path,
 
   JournalReplay replay;
   std::vector<std::uint8_t> payload;
-  COOPCR_CHECK(parse_block(data, pos, payload),
-               "journal header is truncated or corrupt: " + path);
+  const auto check_format = [&](std::uint32_t format_version) {
+    COOPCR_CHECK(format_version == expected.format_version,
+                 "journal format version " + std::to_string(format_version) +
+                     " != supported " +
+                     std::to_string(expected.format_version));
+  };
+  if (!parse_block(data, pos, payload)) {
+    // A journal of another format may checksum its header differently, so
+    // a failed checksum is first asked for the format version it carries:
+    // the leading u32 of the (unverified) header payload.
+    if (data.size() - pos >= 16) {
+      check_format(Decoder(data.data() + pos + 12, 4).u32());
+    }
+    COOPCR_CHECK(false, "journal header is truncated or corrupt: " + path);
+  }
   replay.header = decode_header_payload(payload);
 
   // Identity checks: a mismatched journal must refuse to resume loudly.
   const JournalHeader& h = replay.header;
-  COOPCR_CHECK(h.format_version == expected.format_version,
-               "journal format version " + std::to_string(h.format_version) +
-                   " != supported " + std::to_string(expected.format_version));
+  check_format(h.format_version);
   COOPCR_CHECK(h.code_version == expected.code_version,
                "journal was written by " + h.code_version +
                    ", this build is " + expected.code_version +

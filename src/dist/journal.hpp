@@ -58,7 +58,7 @@ namespace coopcr::dist {
 /// Identifies the simulator build a journal was written by. Bump on any
 /// change that can alter simulation results; resuming across versions is
 /// refused.
-inline constexpr const char* kCodeVersion = "coopcr-7";
+inline constexpr const char* kCodeVersion = "coopcr-8";
 
 /// Journal file format version (layout and checksum changes). v2: slot layout
 /// gained the variance-reduction fields; v3: typed records (unit + round

@@ -1,9 +1,11 @@
 #include "exp/sweep_runner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -141,27 +143,45 @@ int sequential_stopping_start(const MonteCarloOptions& options) {
   return std::min(options.replicas, sequential_stopping_cap(options));
 }
 
+int sequential_round_size(int replicas, double ci_width, double target,
+                          int cap) {
+  if (ci_width <= target || replicas >= cap) return 0;
+  // A CI narrows as 1/sqrt(n), so n·(w/t)² replicas would just meet the
+  // target. The square is taken in double and clamped at 2n before any int
+  // conversion: an infinite or NaN width (or ratio) simply doubles.
+  const double ratio = ci_width / target;
+  const double want = static_cast<double>(replicas) * ratio * ratio;
+  const double doubled = 2.0 * static_cast<double>(replicas);
+  int predicted = static_cast<int>(want < doubled ? std::ceil(want) : doubled);
+  predicted += predicted % 2;  // even sizes keep antithetic pair parity
+  return std::min({cap, 2 * replicas, std::max(replicas + 2, predicted)});
+}
+
 int next_sequential_round(const MonteCarloCampaign& campaign, int cap) {
   const MonteCarloOptions& opt = campaign.options();
   if (opt.target_ci_width <= 0.0) return 0;
-  const MonteCarloReport snap = campaign.reduce();
-  bool converged = true;
-  for (const StrategyOutcome& outcome : snap.outcomes) {
-    // Contrast-aware convergence: when the paired contrast estimator is on,
-    // the accuracy target applies to the strategy *differences* — the
-    // quantity the campaign exists to pin down — not the individual means.
-    const double ci_width = opt.contrast_active()
-                                ? (outcome.contrast.enabled
-                                       ? outcome.contrast.estimate.ci_width
-                                       : 0.0)
-                                : outcome.vr.estimate.ci_width;
-    if (ci_width > opt.target_ci_width) {
-      converged = false;
-      break;
+  const int replicas = campaign.tasks();
+  // Below two estimator units (replicas, or antithetic pairs) the sample
+  // variance is undefined and the fold reports a CI width of 0: an
+  // unmeasured CI counts as infinitely wide, never as converged.
+  const int units = opt.antithetic ? replicas / 2 : replicas;
+  double widest = std::numeric_limits<double>::infinity();
+  if (units >= 2) {
+    widest = 0.0;
+    const MonteCarloReport snap = campaign.reduce();
+    for (const StrategyOutcome& outcome : snap.outcomes) {
+      // Contrast-aware convergence: when the paired contrast estimator is
+      // on, the accuracy target applies to the strategy *differences* — the
+      // quantity the campaign exists to pin down — not the individual means.
+      const double ci_width = opt.contrast_active()
+                                  ? (outcome.contrast.enabled
+                                         ? outcome.contrast.estimate.ci_width
+                                         : 0.0)
+                                  : outcome.vr.estimate.ci_width;
+      widest = std::max(widest, ci_width);
     }
   }
-  if (converged || campaign.tasks() >= cap) return 0;
-  return std::min(cap, 2 * campaign.tasks());
+  return sequential_round_size(replicas, widest, opt.target_ci_width, cap);
 }
 
 SweepRunner::SweepRunner(int threads)

@@ -46,14 +46,26 @@ int sequential_stopping_cap(const MonteCarloOptions& options);
 /// replicas — round one included, not just the extend rounds.
 int sequential_stopping_start(const MonteCarloOptions& options);
 
+/// The replica count a sequential-stopping round grows a campaign of
+/// `replicas` to, given the widest 95% CI it has measured, or 0 when it
+/// settles (`ci_width <= target` or `replicas >= cap`). The round is sized
+/// from the measurement: a CI narrows as 1/sqrt(n), so the prediction P is
+/// the smallest even integer >= replicas·(ci_width/target)², and the result
+/// is min(cap, 2·replicas, max(replicas + 2, P)). An unattainable target
+/// (or an infinite width) therefore doubles, even sizes keep antithetic
+/// pair parity, and the result never shrinks as ci_width grows.
+int sequential_round_size(int replicas, double ci_width, double target,
+                          int cap);
+
 /// The one sequential-stopping round decision, shared by SweepRunner and
 /// dist::DistSweepRunner so the two backends can never disagree on the
-/// growth schedule: reduce `campaign` and return the replica count the
-/// next doubling round grows it to, or 0 when it settles — the 95% CI of
-/// every strategy's waste-ratio estimate (every *contrast* estimate when
-/// the paired contrast is active) is at most target_ci_width, or the cap is
-/// reached. Driven by the deterministic fold alone, so the schedule is
-/// bit-identical across thread counts, shard counts and resume histories.
+/// growth schedule: reduce `campaign` and return sequential_round_size() of
+/// its widest waste-ratio 95% CI (widest *contrast* CI when the paired
+/// contrast is active). A campaign with fewer than two estimator units
+/// (replicas, or pairs under antithetic) has no CI yet and never settles
+/// below the cap. Driven by the deterministic fold alone, so the schedule
+/// is bit-identical across thread counts, shard counts and resume
+/// histories.
 int next_sequential_round(const MonteCarloCampaign& campaign, int cap);
 
 class SweepRunner final : public SweepExecutor {

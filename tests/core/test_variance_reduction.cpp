@@ -369,7 +369,8 @@ TEST(VarianceReduction, AntitheticRejectsOddReplicasAndPairsPreparedReplicas) {
 // --- Replica-economy floors -------------------------------------------------
 //
 // Replicas needed to reach a fixed 95% CI width on the Figure 1 160 GB/s
-// row at the default scenario seed, grown in doubling rounds from 16. The
+// row at the default scenario seed, grown from 16 in sequential-stopping
+// rounds sized from the measured CI (exp::sequential_round_size). The
 // floors are ratios of statistics, not timings: deterministic on any host,
 // so they carry no slack. Two rows (EXPERIMENTS.md, "Replica economy"):
 //  * the EAP row (eap_only above), where every bit of waste variance is
@@ -466,17 +467,17 @@ TEST(ContrastEconomyFloor, MixRowVrFactorAtLeastTwo) {
 
 TEST(ContrastEconomyFloor, MixRowReductionAtLeastThree) {
   // The unpaired comparison estimates each strategy independently and takes
-  // the classical two-sample width 2·z·sqrt(se_A² + se_B²) on the same
-  // doubling schedule. It needs at least three times the paired contrast's
-  // C replicas exactly when its CI is still above target at every doubling
-  // n < 3·C. Replica r is a pure function of (seed, r), so one fixed run at
-  // the largest such n holds every earlier round as a prefix.
+  // the classical two-sample width 2·z·sqrt(se_A² + se_B²) under the same
+  // stopping rule: rounds from 16 sized by exp::sequential_round_size from
+  // that width. It needs at least three times the paired contrast's C
+  // replicas exactly when its CI is still above target at every round size
+  // n < 3·C the rule visits. Replica r is a pure function of (seed, r), so
+  // one fixed run of 3·C - 1 replicas holds every such round as a prefix.
   constexpr double kZ95 = 1.959963984540054;
   const MonteCarloReport& paired = mix_contrast_leg();
   const int converged = paired.replicas;
   ASSERT_LE(paired.outcomes[1].contrast.estimate.ci_width, kContrastTarget);
-  int largest = kEconomyStart;
-  while (2 * largest < 3 * converged) largest *= 2;
+  const int largest = 3 * converged - 1;
 
   MonteCarloOptions options;
   options.replicas = largest;
@@ -490,16 +491,18 @@ TEST(ContrastEconomyFloor, MixRowReductionAtLeastThree) {
         << "strategy " << s << ": the paired run is not a prefix";
   }
 
-  for (int n = kEconomyStart; n < 3 * converged; n *= 2) {
+  for (int n = kEconomyStart; n > 0 && n < 3 * converged;) {
     double variance = 0.0;
     for (const StrategyOutcome& outcome : unpaired.outcomes) {
       const std::vector<double>& all = outcome.waste_ratio.samples();
       const SampleSet prefix(std::vector<double>(all.begin(), all.begin() + n));
       variance += prefix.stddev() * prefix.stddev() / n;
     }
-    EXPECT_GT(2.0 * kZ95 * std::sqrt(variance), kContrastTarget)
+    const double width = 2.0 * kZ95 * std::sqrt(variance);
+    EXPECT_GT(width, kContrastTarget)
         << "unpaired CI reaches the target at n = " << n << ", under 3 x "
         << converged << " paired replicas";
+    n = exp::sequential_round_size(n, width, kContrastTarget, /*cap=*/8192);
   }
 }
 

@@ -362,6 +362,60 @@ TEST_F(DistRunnerTest, AdaptiveJournaledSweepResumesMidRoundByteIdentically) {
   EXPECT_EQ(json_bytes(reference), json_bytes(resumed));
 }
 
+TEST_F(DistRunnerTest, PredictedRoundSizesMatchAcrossShardsAndResume) {
+  // An attainable contrast target: each round is sized from the measured
+  // CI, so the points settle at 14 (4 -> 8 -> 14) and 36
+  // (4 -> 8 -> 16 -> 32 -> 36) replicas — sizes no doubling from 4
+  // reaches, below the cap of 64. The dist coordinator must take the same
+  // predictions at any shard count, and a resume from inside the third
+  // round (units 17-30; the interrupt lands after 20) must replay them.
+  exp::ExperimentSpec spec(tiny_base(), "dist_adaptive_predicted");
+  MonteCarloOptions options;
+  options.replicas = 4;
+  options.target_ci_width = 0.02;
+  options.max_replicas = 64;
+  options.contrast_reference = oblivious_daly().name();
+  spec.pfs_bandwidth_axis({60, 100})
+      .strategies({oblivious_daly(), least_waste()})
+      .options(options);
+  const exp::ExperimentReport reference = reference_report(spec);
+  ASSERT_EQ(reference.points.size(), 2u);
+  EXPECT_EQ(reference.points[0].report.replicas, 14);
+  EXPECT_EQ(reference.points[1].report.replicas, 36);
+  for (const exp::PointResult& point : reference.points) {
+    EXPECT_LE(point.report.outcomes[1].contrast.estimate.ci_width, 0.02);
+  }
+
+  for (const int shards : {1, 3}) {
+    dist::DistOptions dist_options;
+    dist_options.shards = shards;
+    dist::DistSweepRunner runner(dist_options);
+    const exp::ExperimentReport distributed = runner.run(spec);
+    EXPECT_EQ(csv_bytes(reference), csv_bytes(distributed))
+        << "shards=" << shards;
+    EXPECT_EQ(json_bytes(reference), json_bytes(distributed))
+        << "shards=" << shards;
+  }
+
+  {
+    dist::DistOptions interrupted;
+    interrupted.shards = 3;
+    interrupted.journal = journal_;
+    interrupted.fault_plan = interrupt_after(20);
+    dist::DistSweepRunner runner(interrupted);
+    EXPECT_THROW(runner.run(spec), Error);
+  }
+  ASSERT_TRUE(std::filesystem::exists(journal_));
+  dist::DistOptions resume;
+  resume.shards = 3;
+  resume.journal = journal_;
+  resume.resume = true;
+  dist::DistSweepRunner resumer(resume);
+  const exp::ExperimentReport resumed = resumer.run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(resumed));
+  EXPECT_EQ(json_bytes(reference), json_bytes(resumed));
+}
+
 TEST_F(DistRunnerTest, RejectsBadShardCounts) {
   dist::DistOptions zero;
   zero.shards = 0;

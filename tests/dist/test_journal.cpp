@@ -219,6 +219,46 @@ TEST_F(JournalTest, RejectsCodeVersionAndDimensionMismatch) {
   EXPECT_THROW(replay_journal(path_, other_dims), Error);
 }
 
+TEST_F(JournalTest, NamesTheFormatVersionBehindAFailedHeaderChecksum) {
+  // An older format may checksum its header differently, so the version
+  // must be read before the checksum is trusted: a v6 journal with its
+  // version bytes patched to 5 fails its header checksum, and the refusal
+  // names version 5, not a corrupt header.
+  { JournalWriter writer = JournalWriter::create(path_, sample_header()); }
+  {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8 + 12);  // magic, then the header block's length and checksum
+    const std::uint8_t v5[4] = {5, 0, 0, 0};  // little-endian u32
+    f.write(reinterpret_cast<const char*>(v5), sizeof(v5));
+  }
+  try {
+    replay_journal(path_, sample_header());
+    FAIL() << "expected a format version error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("journal format version 5 != supported " +
+                        std::to_string(kJournalFormatVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(JournalTest, RefusesAJournalOfAnEarlierCodeVersionNamingBoth) {
+  // coopcr-7 grew adaptive campaigns by doubling; resuming its journal
+  // under this build would finish on a mixed round schedule.
+  JournalHeader earlier = sample_header();
+  earlier.code_version = "coopcr-7";
+  { JournalWriter writer = JournalWriter::create(path_, earlier); }
+  try {
+    replay_journal(path_, sample_header());
+    FAIL() << "expected a code version error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("coopcr-7"), std::string::npos) << what;
+    EXPECT_NE(what.find(kCodeVersion), std::string::npos) << what;
+  }
+}
+
 TEST_F(JournalTest, RejectsMissingAndForeignFiles) {
   EXPECT_THROW(replay_journal(path_, sample_header()), Error);
   {

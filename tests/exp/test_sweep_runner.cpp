@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -204,10 +206,11 @@ TEST(SweepRunner, RunBatchNamesTheFailingCampaign) {
 
 TEST(SweepRunner, SequentialStoppingMatchesTheFixedCountCampaign) {
   // Pick the target from fixed-count reference runs so the test asserts the
-  // exact doubling trajectory: the runner must stop at the first replica
-  // count in {4, 8, 16, ...} whose plain 95% CI meets the target, and its
-  // samples must be bit-identical to a fixed-count campaign of that size
-  // (the snapshot-extend loop adds replicas, never perturbs existing ones).
+  // exact CI-sized trajectory: replaying sequential_round_size over the
+  // plain 95% CIs of fixed-count prefixes (4, then each predicted size)
+  // gives the count the runner must stop at, and its samples must be
+  // bit-identical to a fixed-count campaign of that size (the
+  // snapshot-extend loop adds replicas, never perturbs existing ones).
   constexpr double kZ95 = 1.959963984540054;
   // Must match the swept grid point: the spec below pins bandwidth via its
   // one-value axis, so the reference runs pin it too.
@@ -225,12 +228,12 @@ TEST(SweepRunner, SequentialStoppingMatchesTheFixedCountCampaign) {
            std::sqrt(static_cast<double>(report.replicas));
   };
   const double target = ci_width(fixed_run(16)) * 1.0001;
-  int expected = 64;
-  for (const int n : {4, 8, 16, 32}) {
-    if (ci_width(fixed_run(n)) <= target) {
-      expected = n;
-      break;
-    }
+  int expected = 4;
+  for (;;) {
+    const int next = exp::sequential_round_size(
+        expected, ci_width(fixed_run(expected)), target, /*cap=*/64);
+    if (next == 0) break;
+    expected = next;
   }
 
   exp::ExperimentSpec spec(tiny_base(), "sequential");
@@ -254,12 +257,83 @@ TEST(SweepRunner, SequentialStoppingMatchesTheFixedCountCampaign) {
   for (std::size_t i = 0; i < ss.size(); ++i) EXPECT_EQ(ss[i], rs[i]);
 }
 
+TEST(SweepRunner, SequentialStoppingNeedsTwoEstimatorUnits) {
+  // Regression: a campaign of one replica (or one antithetic pair) has no
+  // sample variance, and the fold reports its CI width as 0. That must not
+  // count as converged: the campaign grows to min(cap, 2n) and settles only
+  // on a CI it measured, however loose the target.
+  const ScenarioConfig scenario = tiny_base().build();
+  exp::SweepRunner runner(/*threads=*/2);
+  const auto run = [&](int replicas, bool antithetic) {
+    MonteCarloOptions options;
+    options.replicas = replicas;
+    options.antithetic = antithetic;
+    options.target_ci_width = 10.0;  // any measured CI meets it
+    options.max_replicas = 64;
+    std::vector<exp::Campaign> batch;
+    batch.push_back(exp::Campaign{scenario, {least_waste()}, options});
+    return runner.run_batch(std::move(batch)).at(0);
+  };
+
+  const MonteCarloReport plain = run(1, /*antithetic=*/false);
+  EXPECT_EQ(plain.replicas, 2);
+  EXPECT_GT(plain.outcomes[0].vr.estimate.ci_width, 0.0);
+
+  const MonteCarloReport paired = run(2, /*antithetic=*/true);
+  EXPECT_EQ(paired.replicas, 4);
+  EXPECT_GT(paired.outcomes[0].vr.estimate.ci_width, 0.0);
+}
+
+TEST(SequentialRoundSize, SettlesAtTheTargetOrTheCap) {
+  EXPECT_EQ(exp::sequential_round_size(16, 0.01, 0.01, 64), 0);
+  EXPECT_EQ(exp::sequential_round_size(16, 0.005, 0.01, 64), 0);
+  EXPECT_EQ(exp::sequential_round_size(64, 0.5, 0.01, 64), 0);
+  EXPECT_EQ(exp::sequential_round_size(80, 0.5, 0.01, 64), 0);
+}
+
+TEST(SequentialRoundSize, PredictsFromTheMeasuredWidth) {
+  // n·(w/t)², rounded up to even, at least n + 2 and at most 2n and cap.
+  EXPECT_EQ(exp::sequential_round_size(128, 0.011, 0.01, 4096), 156);  // 154.9
+  EXPECT_EQ(exp::sequential_round_size(100, 0.010001, 0.01, 4096), 102);
+  EXPECT_EQ(exp::sequential_round_size(200, 0.0105, 0.01, 4096), 222);  // 220.5
+  EXPECT_EQ(exp::sequential_round_size(16, 0.015, 0.01, 4096), 32);  // 36
+  EXPECT_EQ(exp::sequential_round_size(128, 0.011, 0.01, 150), 150);
+  // Unattainable, infinite or NaN widths double.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(exp::sequential_round_size(16, 1e300, 1e-300, 4096), 32);
+  EXPECT_EQ(exp::sequential_round_size(16, inf, 0.01, 4096), 32);
+  EXPECT_EQ(exp::sequential_round_size(16, nan, 0.01, 4096), 32);
+}
+
+TEST(SequentialRoundSize, IsEvenBoundedAndMonotoneInTheWidth) {
+  constexpr double kTarget = 0.004;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int n = 2; n <= 512; n += 2) {
+    for (const int cap : {n + 2, n + 6, 2 * n, 3 * n + 2, 4096}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " cap=" + std::to_string(cap));
+      int previous = n + 1;
+      for (double ratio = 1.00001; ratio < 3.0; ratio *= 1.013) {
+        const int next =
+            exp::sequential_round_size(n, kTarget * ratio, kTarget, cap);
+        EXPECT_EQ(next % 2, 0) << ratio;
+        EXPECT_GT(next, n) << ratio;
+        EXPECT_LE(next, std::min(2 * n, cap)) << ratio;
+        EXPECT_GE(next, previous) << ratio;
+        previous = next;
+      }
+      EXPECT_EQ(exp::sequential_round_size(n, inf, kTarget, cap),
+                std::min(2 * n, cap));
+    }
+  }
+}
+
 TEST(SweepRunner, AdaptiveSweepsAreThreadInvariantAndStreamInGridOrder) {
-  // Three points whose CIs settle after different numbers of doubling
-  // rounds: each campaign grows on its own as soon as its round drains, so
-  // on four threads a later point can settle before an earlier one. The
-  // artifacts must still match one thread byte for byte, and on_point must
-  // fire in grid order with each point's final replica count.
+  // Three points whose CIs settle after different numbers of sequential
+  // stopping rounds: each campaign grows on its own as soon as its round
+  // drains, so on four threads a later point can settle before an earlier
+  // one. The artifacts must still match one thread byte for byte, and
+  // on_point must fire in grid order with each point's final replica count.
   exp::ExperimentSpec spec(tiny_base(), "adaptive_grid");
   MonteCarloOptions options;
   options.replicas = 2;
@@ -284,7 +358,7 @@ TEST(SweepRunner, AdaptiveSweepsAreThreadInvariantAndStreamInGridOrder) {
   };
   const exp::ExperimentReport serial = run(1);
   const exp::ExperimentReport parallel = run(4);
-  // The points stop at 32, 2 and 8 replicas: three different round counts.
+  // The points stop at 32, 2 and 6 replicas: three different round counts.
   ASSERT_EQ(serial.points.size(), 3u);
   const int r0 = serial.points[0].report.replicas;
   const int r1 = serial.points[1].report.replicas;
@@ -298,8 +372,8 @@ TEST(SweepRunner, MaxReplicasCapsTheTotalIncludingRoundOne) {
   // Regression: max_replicas bounds the *total* simulated replicas, round
   // one included. A campaign asked to start above the cap must run exactly
   // cap replicas — not its initial count — and the cap also halts the
-  // doubling rounds mid-schedule (an unattainable target with cap 12 grows
-  // 4 -> 8 -> 12, stopping at the cap rather than 16).
+  // rounds mid-schedule (an unattainable target doubles, so with cap 12 it
+  // grows 4 -> 8 -> 12, stopping at the cap rather than 16).
   const ScenarioConfig scenario = tiny_base().build();
   exp::SweepRunner runner(/*threads=*/2);
 
@@ -345,7 +419,7 @@ TEST(SweepRunner, MaxReplicasCapsTheTotalIncludingRoundOne) {
 }
 
 TEST(SweepRunner, RunMonteCarloRejectsSequentialStopping) {
-  // The doubling loop lives in SweepRunner; the one-shot wrapper refuses the
+  // The round loop lives in SweepRunner; the one-shot wrapper refuses the
   // option instead of silently ignoring it.
   MonteCarloOptions options;
   options.replicas = 2;
