@@ -25,7 +25,9 @@ FlowId make_flow_id(std::uint32_t slot, std::uint32_t generation) {
 SharedChannel::SharedChannel(sim::Engine& engine, FlowSink& sink,
                              double bandwidth, InterferenceModel model,
                              double alpha)
-    : engine_(engine), sink_(sink) {
+    : engine_(engine),
+      sink_(sink),
+      completion_(engine.queue(), [this] { on_completion_event(); }) {
   reset(bandwidth, model, alpha);
 }
 
@@ -43,7 +45,7 @@ void SharedChannel::reset(double bandwidth, InterferenceModel model,
   free_head_ = kNoSlot;
   total_weight_ = 0;
   last_advance_ = engine_.now();
-  pending_event_ = sim::kInvalidEventId;
+  completion_.disarm();
   busy_accum_ = 0.0;
   bytes_done_ = 0.0;
 }
@@ -118,12 +120,11 @@ void SharedChannel::advance() {
 }
 
 void SharedChannel::reschedule() {
-  if (pending_event_ != sim::kInvalidEventId) {
-    engine_.cancel(pending_event_);
-    pending_event_ = sim::kInvalidEventId;
-  }
   expected_done_.clear();
-  if (active_.empty()) return;
+  if (active_.empty()) {
+    completion_.disarm();
+    return;
+  }
   double min_ttf = std::numeric_limits<double>::infinity();
   for (const std::uint32_t index : active_) {
     Flow& flow = slots_[index];
@@ -142,7 +143,9 @@ void SharedChannel::reschedule() {
       expected_done_.push_back(make_flow_id(index, flow.generation));
     }
   }
-  pending_event_ = engine_.after(min_ttf, [this] { on_completion_event(); });
+  // Re-arming draws a fresh sequence number, exactly as cancelling the old
+  // completion event and scheduling a new one would.
+  completion_.arm(engine_.now() + min_ttf);
 }
 
 FlowId SharedChannel::start(double volume, std::int64_t weight,
@@ -200,7 +203,6 @@ double SharedChannel::busy_time() const {
 }
 
 void SharedChannel::on_completion_event() {
-  pending_event_ = sim::kInvalidEventId;
   advance();
   // Collect every drained flow first, then mutate, then notify: the sink
   // may start new flows on this very channel (serial token pump). The flows
@@ -227,8 +229,8 @@ void SharedChannel::on_completion_event() {
     }
   }
   // A spurious wake-up (all flows still draining) can only happen if an
-  // abort/start changed rates after this event was scheduled — reschedule()
-  // cancels the stale event in those paths, so something drained here.
+  // abort/start changed rates after this event was armed — reschedule()
+  // re-arms the timer in those paths, so something drained here.
   COOPCR_ASSERT(!finished_.empty(), "completion event with no drained flow");
   for (const auto& [id, token] : finished_) {
     const std::uint32_t index = live_slot(id);

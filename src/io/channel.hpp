@@ -16,7 +16,10 @@
 //
 // The channel is a processor-sharing queue simulated exactly: on every
 // admission/abort/completion the remaining volumes are advanced analytically
-// and the next completion event is (re)scheduled. No time-stepping.
+// and the next completion is re-armed on the channel's own sim::Timer, which
+// lives outside the event calendar — a move costs no cancel, no stale key
+// and no calendar insert, yet fires in the same (time, sequence) order as a
+// cancelled and re-scheduled event would. No time-stepping.
 //
 // Storage: flows live in a free-listed slab addressed by generation-tagged
 // FlowIds; the active set is a contiguous admission-ordered index vector and
@@ -64,6 +67,9 @@ class SharedChannel {
   SharedChannel(sim::Engine& engine, FlowSink& sink, double bandwidth,
                 InterferenceModel model = InterferenceModel::kLinear,
                 double alpha = 0.0);
+
+  SharedChannel(const SharedChannel&) = delete;
+  SharedChannel& operator=(const SharedChannel&) = delete;
 
   /// Re-arm for a new run with fresh parameters, keeping slab capacity. The
   /// engine must already be reset; behaves bit-identically to constructing a
@@ -122,9 +128,9 @@ class SharedChannel {
 
   /// Advance all remaining volumes to the current engine time.
   void advance();
-  /// Recompute per-flow rates and (re)schedule the next completion event.
+  /// Recompute per-flow rates and re-arm (or disarm) the completion timer.
   void reschedule();
-  /// Completion event handler: finish every flow whose volume has drained.
+  /// Completion timer handler: finish every flow whose volume has drained.
   void on_completion_event();
   /// Current per-flow rate for `weight` given the active set.
   double flow_rate(std::int64_t weight) const;
@@ -139,7 +145,7 @@ class SharedChannel {
   std::vector<std::uint32_t> active_;  ///< live slab indices, admission order
   std::uint32_t free_head_ = kNoSlot;
   std::int64_t total_weight_ = 0;  ///< cached Σ weight over active flows
-  /// Flows the pending completion event was computed for: they are complete
+  /// Flows the armed completion timer was computed for: they are complete
   /// at that instant by construction, regardless of accumulated double
   /// rounding in remaining-volume updates.
   std::vector<FlowId> expected_done_;
@@ -147,7 +153,7 @@ class SharedChannel {
   /// never re-enters itself, the sink only runs once state is consistent).
   std::vector<std::pair<FlowId, std::uint64_t>> finished_;
   sim::Time last_advance_ = 0.0;
-  sim::EventId pending_event_ = sim::kInvalidEventId;
+  sim::Timer completion_;  ///< next completion; disarmed while idle
 
   double busy_accum_ = 0.0;
   double bytes_done_ = 0.0;

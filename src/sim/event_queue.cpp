@@ -227,9 +227,9 @@ bool EventQueue::cancel(EventId id) {
 }
 
 Time EventQueue::next_time() const {
+  if (const Timer* timer = timer_due()) return timer->time_;
   if (live_count_ == 0) return kTimeNever;
-  refill();
-  return today_.back().time;
+  return today_.back().time;  // timer_due() refilled the serving window
 }
 
 void EventQueue::recycle_slot(std::uint32_t index) {
@@ -253,6 +253,10 @@ EventQueue::Key EventQueue::detach() {
 }
 
 void EventQueue::fire_next() {
+  if (Timer* timer = timer_due()) {
+    fire_timer(*timer);
+    return;
+  }
   const auto index = static_cast<std::uint32_t>((detach().id & kSlotMask) - 1);
   // Recycle after the callback returns, also when it throws.
   struct Firing {
@@ -268,6 +272,11 @@ void EventQueue::fire_next() {
 }
 
 EventQueue::Fired EventQueue::pop() {
+  if (Timer* timer = timer_due()) {
+    Fired fired{timer->time_, timer->id_, [timer] { timer->fn_(); }};
+    disarm_timer(*timer);
+    return fired;
+  }
   const Key top = detach();
   const auto index = static_cast<std::uint32_t>((top.id & kSlotMask) - 1);
   Fired fired{top.time, top.id, std::move(slot_at(index).fn)};
@@ -296,6 +305,110 @@ void EventQueue::clear() {
   live_count_ = 0;
   next_seq_ = 1;
   now_ = 0.0;
+  for (Timer* timer : timers_) timer->armed_ = false;
+  armed_timers_ = 0;
+  earliest_timer_ = nullptr;
+  timers_stale_ = false;
+}
+
+// --- timers ------------------------------------------------------------------
+
+Timer::Timer(EventQueue& queue, InlineFn fn)
+    : queue_(&queue), fn_(std::move(fn)) {
+  COOPCR_CHECK(static_cast<bool>(fn_), "timer callback must be callable");
+  queue.register_timer(*this);
+}
+
+Timer::~Timer() {
+  if (queue_ != nullptr) queue_->unregister_timer(*this);
+}
+
+void Timer::arm(Time t) {
+  COOPCR_CHECK(queue_ != nullptr, "timer armed after its queue was destroyed");
+  queue_->arm_timer(*this, t);
+}
+
+void Timer::disarm() {
+  if (queue_ != nullptr && armed_) queue_->disarm_timer(*this);
+}
+
+EventQueue::~EventQueue() {
+  for (Timer* timer : timers_) {
+    timer->queue_ = nullptr;
+    timer->armed_ = false;
+  }
+}
+
+void EventQueue::register_timer(Timer& timer) {
+  timer.index_ = timers_.size();
+  timers_.push_back(&timer);
+}
+
+void EventQueue::unregister_timer(Timer& timer) {
+  if (timer.armed_) disarm_timer(timer);
+  Timer* last = timers_.back();
+  timers_[timer.index_] = last;
+  last->index_ = timer.index_;
+  timers_.pop_back();
+}
+
+void EventQueue::arm_timer(Timer& timer, Time t) {
+  COOPCR_CHECK(std::isfinite(t), "event time must be finite");
+  COOPCR_CHECK(t >= now_, "cannot schedule an event in the past");
+  timer.time_ = t;
+  timer.id_ = next_seq_++ << kSlotBits;  // slot bits 0: cancel() rejects it
+  if (!timer.armed_) {
+    timer.armed_ = true;
+    ++armed_timers_;
+  }
+  if (timers_stale_) return;
+  if (earliest_timer_ == nullptr || timer.fires_before(*earliest_timer_)) {
+    earliest_timer_ = &timer;
+  } else if (earliest_timer_ == &timer) {
+    // The cached earliest moved later: another timer may lead now.
+    timers_stale_ = armed_timers_ > 1;
+  }
+}
+
+void EventQueue::disarm_timer(Timer& timer) {
+  timer.armed_ = false;
+  --armed_timers_;
+  if (earliest_timer_ == &timer) {
+    earliest_timer_ = nullptr;
+    timers_stale_ = armed_timers_ > 0;
+  }
+}
+
+void EventQueue::rescan_timers() const {
+  earliest_timer_ = nullptr;
+  for (Timer* timer : timers_) {
+    if (timer->armed_ && (earliest_timer_ == nullptr ||
+                          timer->fires_before(*earliest_timer_))) {
+      earliest_timer_ = timer;
+    }
+  }
+  timers_stale_ = false;
+}
+
+Timer* EventQueue::timer_due() const {
+  Timer* timer = armed_timers_ != 0 ? earliest_timer() : nullptr;
+  if (live_count_ == 0) return timer;
+  refill();
+  if (timer != nullptr) {
+    const Key& head = today_.back();
+    if (timer->fires_before(head.time, head.id)) return timer;
+  }
+  return nullptr;
+}
+
+void EventQueue::fire_timer(Timer& timer) {
+  disarm_timer(timer);
+  struct Firing {
+    bool& firing;
+    ~Firing() { firing = false; }
+  } guard{firing_};
+  firing_ = true;
+  timer.fn_();
 }
 
 }  // namespace coopcr::sim

@@ -34,6 +34,18 @@
 //    is written as plain member functions bound at schedule time, and those
 //    small captures are stored inline — zero allocation per event. The
 //    callback is built in its slab slot and fire_next() invokes it there.
+//
+//  * Re-armable timers live outside the calendar. A component that keeps
+//    exactly one pending wake-up and moves it often (the PFS channel's next
+//    completion, moved at every flow admission and completion) owns a
+//    `sim::Timer` instead of cancelling and re-scheduling an event: arming
+//    writes a (time, id) pair into the timer, nothing enters the calendar
+//    and no stale key is left behind. arm() draws the next sequence number
+//    exactly like schedule() would, so ties, the pop order and
+//    total_scheduled() equal those of cancel + schedule. The queue serves
+//    the earlier of the calendar head and the earliest armed timer, which it
+//    keeps cached (a re-arm or disarm of that timer invalidates the cache;
+//    the next query rescans the few registered timers).
 
 #pragma once
 
@@ -62,10 +74,60 @@ inline constexpr EventId kInvalidEventId = 0;
 using InlineFn = InlineFunction<void(), 48>;
 using EventFn = InlineFn;
 
+class EventQueue;
+
+/// A re-armable wake-up owned by a component, kept outside the calendar.
+/// Registered with its queue on construction and unregistered on
+/// destruction; neither copyable nor movable (the queue holds its address).
+/// At most one firing is pending at a time: arm() moves it, disarm() drops
+/// it. When it fires it is disarmed first, so its callback may arm it again.
+class Timer {
+ public:
+  Timer(EventQueue& queue, InlineFn fn);
+  ~Timer();
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Fire at absolute time `t` (finite, not in the past), replacing any
+  /// pending firing. Draws the next sequence number, like a schedule().
+  void arm(Time t);
+  /// Drop the pending firing, if any.
+  void disarm();
+
+  bool armed() const { return armed_; }
+  /// Time of the pending firing; meaningful only while armed().
+  Time time() const { return time_; }
+
+ private:
+  friend class EventQueue;
+
+  bool fires_before(Time t, EventId id) const {
+    if (time_ != t) return time_ < t;
+    return id_ < id;
+  }
+  bool fires_before(const Timer& other) const {
+    return fires_before(other.time_, other.id_);
+  }
+
+  EventQueue* queue_;  ///< null once the queue is gone first
+  InlineFn fn_;
+  Time time_ = 0.0;
+  EventId id_ = kInvalidEventId;  ///< sequence << slot bits; no slab slot
+  std::size_t index_ = 0;         ///< position in the queue's registry
+  bool armed_ = false;
+};
+
 /// Priority queue of cancellable timed callbacks.
 class EventQueue {
  public:
   EventQueue() = default;
+  /// Detaches every timer still registered (their owners outlived the
+  /// queue; their arm() then throws).
+  ~EventQueue();
+
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` at absolute time `t`. Returns a handle for cancellation.
   /// `t` must be finite; scheduling in the past is a caller bug and throws.
@@ -89,11 +151,12 @@ class EventQueue {
   /// at pop time.
   bool cancel(EventId id);
 
-  /// True when no live event remains.
-  bool empty() const { return live_count_ == 0; }
+  /// True when no live event and no armed timer remains.
+  bool empty() const { return live_count_ == 0 && armed_timers_ == 0; }
 
-  /// Number of live (scheduled, not yet fired/cancelled) events.
-  std::size_t size() const { return live_count_; }
+  /// Number of live (scheduled, not yet fired/cancelled) events plus armed
+  /// timers.
+  std::size_t size() const { return live_count_ + armed_timers_; }
 
   /// Timestamp of the earliest live event; kTimeNever when empty.
   Time next_time() const;
@@ -106,6 +169,8 @@ class EventQueue {
   void fire_next();
 
   /// Pop and return the earliest live event. Caller must check !empty().
+  /// A timer's firing is returned as a callable that runs the timer's
+  /// callback: it must run while the timer's owner is alive.
   struct Fired {
     Time time;
     EventId id;
@@ -121,10 +186,11 @@ class EventQueue {
   /// Total events ever scheduled (monotone counter, for stats/tests).
   std::uint64_t total_scheduled() const { return next_seq_ - 1; }
 
-  /// Drop every pending event and reset all counters to a pristine state,
-  /// keeping slab and bucket capacity. A cleared queue behaves
-  /// bit-identically to a freshly constructed one (same ids, same order) —
-  /// this is what makes per-replica engine reuse safe.
+  /// Drop every pending event, disarm every timer (they stay registered)
+  /// and reset all counters to a pristine state, keeping slab and bucket
+  /// capacity. A cleared queue behaves bit-identically to a freshly
+  /// constructed one (same ids, same order) — this is what makes
+  /// per-replica engine reuse safe.
   void clear();
 
   /// Slab/calendar introspection (tests): slots ever created and stale
@@ -133,6 +199,8 @@ class EventQueue {
   std::size_t stale_items() const { return stale_count_; }
 
  private:
+  friend class Timer;
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Slot bits in an EventId: up to ~16.7M concurrently-pending events, with
   /// 40 bits of monotone scheduling sequence above them.
@@ -208,6 +276,23 @@ class EventQueue {
   void rebuild();
   void insert_key(Key key) const;
 
+  // --- timers (friend Timer calls these) ---
+  void register_timer(Timer& timer);
+  void unregister_timer(Timer& timer);
+  void arm_timer(Timer& timer, Time t);
+  void disarm_timer(Timer& timer);
+  /// Earliest armed timer, or null; rescans the registry when the cache was
+  /// invalidated.
+  Timer* earliest_timer() const {
+    if (timers_stale_) rescan_timers();
+    return earliest_timer_;
+  }
+  void rescan_timers() const;
+  /// The timer due next when it comes before the calendar head, else null.
+  Timer* timer_due() const;
+  /// Disarm `timer` and run its callback, recycling nothing.
+  void fire_timer(Timer& timer);
+
   // --- slab ---
   std::vector<std::unique_ptr<Slot[]>> chunks_;  ///< stable-address slab
   std::size_t slot_count_ = 0;                   ///< slots ever created
@@ -224,9 +309,15 @@ class EventQueue {
   mutable std::size_t stale_count_ = 0;  ///< cancelled keys not yet dropped
   bool firing_ = false;                  ///< fire_next() is running a callback
 
-  std::size_t live_count_ = 0;
+  std::size_t live_count_ = 0;  ///< live calendar events (timers excluded)
   std::uint64_t next_seq_ = 1;
   Time now_ = 0.0;
+
+  // --- timers ---
+  std::vector<Timer*> timers_;           ///< registered, in any order
+  std::size_t armed_timers_ = 0;
+  mutable Timer* earliest_timer_ = nullptr;  ///< valid unless timers_stale_
+  mutable bool timers_stale_ = false;
 };
 
 }  // namespace coopcr::sim

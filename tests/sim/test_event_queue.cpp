@@ -11,6 +11,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -323,17 +324,183 @@ TEST(EventQueue, ClearInsideAFiringCallbackThrowsAndLeavesTheQueueUsable) {
   EXPECT_EQ(q.slab_slots(), 0u);
 }
 
+// --- timers ------------------------------------------------------------------
+
+TEST(EventQueueTimer, ArmTakesASequenceNumberLikeASchedule) {
+  EventQueue q;
+  std::vector<int> order;
+  Timer timer(q, [&] { order.push_back(0); });
+  q.schedule(5.0, [&] { order.push_back(1); });
+  timer.arm(5.0);
+  q.schedule(5.0, [&] { order.push_back(2); });
+  EXPECT_EQ(q.total_scheduled(), 3u);
+  EXPECT_EQ(q.size(), 3u);
+  timer.arm(5.0);  // re-arm: behind event 2 now, like cancel + schedule
+  EXPECT_EQ(q.total_scheduled(), 4u);
+  EXPECT_EQ(q.size(), 3u);
+  while (!q.empty()) {
+    q.set_now(q.next_time());
+    q.fire_next();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(EventQueueTimer, DisarmLeavesNothingBehind) {
+  EventQueue q;
+  int fired = 0;
+  Timer timer(q, [&] { ++fired; });
+  timer.arm(2.0);
+  timer.disarm();
+  timer.disarm();  // no-op
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kTimeNever);
+  EXPECT_EQ(q.stale_items(), 0u);
+  EXPECT_EQ(q.total_scheduled(), 1u);
+  q.schedule(1.0, [] {});
+  timer.arm(3.0);
+  EXPECT_EQ(q.next_time(), 1.0);
+  q.set_now(1.0);
+  q.fire_next();
+  EXPECT_EQ(q.next_time(), 3.0);
+  q.set_now(3.0);
+  q.fire_next();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTimer, RejectsPastAndNonFiniteTimes) {
+  EventQueue q;
+  Timer timer(q, [] {});
+  q.set_now(10.0);
+  EXPECT_THROW(timer.arm(5.0), Error);
+  EXPECT_THROW(timer.arm(kTimeNever), Error);
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(q.total_scheduled(), 0u);
+}
+
+TEST(EventQueueTimer, EarliestOfSeveralTimersAndEventsFiresFirst) {
+  EventQueue q;
+  std::vector<int> order;
+  Timer a(q, [&] { order.push_back(10); });
+  Timer b(q, [&] { order.push_back(20); });
+  a.arm(1.0);
+  b.arm(2.0);
+  q.schedule(1.5, [&] { order.push_back(1); });
+  a.arm(3.0);  // the cached earliest moves behind b
+  EXPECT_EQ(q.next_time(), 1.5);
+  b.disarm();
+  b.arm(0.5);
+  while (!q.empty()) {
+    q.set_now(q.next_time());
+    q.fire_next();
+  }
+  EXPECT_EQ(order, (std::vector<int>{20, 1, 10}));
+}
+
+TEST(EventQueueTimer, CallbackMayReArmItsOwnTimer) {
+  EventQueue q;
+  int fired = 0;
+  std::unique_ptr<Timer> timer;
+  timer = std::make_unique<Timer>(q, [&] {
+    if (++fired < 3) timer->arm(q.now() + 1.0);
+  });
+  timer->arm(1.0);
+  while (!q.empty()) {
+    q.set_now(q.next_time());
+    q.fire_next();
+  }
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(q.now(), 3.0);
+  EXPECT_EQ(q.total_scheduled(), 3u);
+}
+
+TEST(EventQueueTimer, PopReturnsATimersFiring) {
+  EventQueue q;
+  int fired = 0;
+  Timer timer(q, [&] { ++fired; });
+  q.schedule(2.0, [] {});
+  timer.arm(1.0);
+  EventQueue::Fired first = q.pop();
+  EXPECT_EQ(first.time, 1.0);
+  EXPECT_FALSE(q.cancel(first.id));  // no calendar slot behind a timer
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(q.size(), 1u);
+  first.fn();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTimer, ClearDisarmsTimersAndKeepsThemRegistered) {
+  EventQueue q;
+  int fired = 0;
+  Timer timer(q, [&] { ++fired; });
+  timer.arm(4.0);
+  q.schedule(1.0, [] {});
+  q.clear();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.total_scheduled(), 0u);
+  timer.arm(2.0);  // still registered: the queue serves it
+  EXPECT_EQ(q.total_scheduled(), 1u);
+  EXPECT_EQ(q.next_time(), 2.0);
+  q.set_now(2.0);
+  q.fire_next();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTimer, OwnerDestroyedBeforeTheQueueUnregistersCleanly) {
+  EventQueue q;
+  std::vector<int> order;
+  auto a = std::make_unique<Timer>(q, [&] { order.push_back(1); });
+  auto b = std::make_unique<Timer>(q, [&] { order.push_back(2); });
+  auto c = std::make_unique<Timer>(q, [&] { order.push_back(3); });
+  a->arm(1.0);
+  b->arm(2.0);
+  c->arm(3.0);
+  a.reset();  // armed and cached as the earliest when destroyed
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 2.0);
+  b.reset();  // registry swap-removal must keep c reachable
+  c->arm(3.5);
+  EXPECT_EQ(q.next_time(), 3.5);
+  q.set_now(3.5);
+  q.fire_next();
+  EXPECT_EQ(order, (std::vector<int>{3}));
+  c->arm(4.0);
+  c.reset();
+  EXPECT_TRUE(q.empty());
+  q.clear();  // touches no destroyed timer
+}
+
+TEST(EventQueueTimer, QueueDestroyedBeforeTheTimerDetachesIt) {
+  auto q = std::make_unique<EventQueue>();
+  Timer timer(*q, [] {});
+  timer.arm(1.0);
+  q.reset();
+  EXPECT_FALSE(timer.armed());
+  timer.disarm();  // no-op
+  EXPECT_THROW(timer.arm(2.0), Error);
+}
+
 // --- reference oracle --------------------------------------------------------
 //
 // Random schedule / cancel / stale cancel / pop / fire_next / clear
-// sequences, checked step by step against a
-// std::map keyed by (time, sequence). Populations swing from empty to a few
-// thousand live events, so the calendar crosses its grow, shrink and
-// stale-sweep rebuild thresholds many times per run.
+// sequences, mixed with timer arm / re-arm / disarm / fire (some timer
+// callbacks re-arm their own timer), checked step by step against a
+// std::map keyed by (time, sequence). The map models a timer as cancel +
+// schedule: a re-arm erases the timer's key and inserts one with the next
+// sequence number. Populations swing from empty to a few thousand live
+// events, so the calendar crosses its grow, shrink and stale-sweep rebuild
+// thresholds many times per run.
 
 class QueueOracle {
  public:
-  explicit QueueOracle(std::uint64_t seed) : rng_(seed) {}
+  explicit QueueOracle(std::uint64_t seed) : rng_(seed) {
+    for (std::size_t k = 0; k < kTimers; ++k) {
+      timers_.push_back(
+          std::make_unique<Timer>(q_, [this, k] { on_timer_fired(k); }));
+    }
+  }
 
   /// Largest live population the run reached.
   std::size_t peak() const { return peak_; }
@@ -343,11 +510,11 @@ class QueueOracle {
       SCOPED_TRACE(step);
       // Cycle through growth, cancel-heavy churn and drain phases, so the
       // live population swings between empty and a few thousand events.
-      static constexpr double kMix[3][5] = {
-          // schedule, cancel, stale cancel
-          {0.62, 0.08, 0.03},  // grow
-          {0.40, 0.35, 0.05},  // churn: stale keys pile up
-          {0.17, 0.10, 0.03},  // drain
+      static constexpr double kMix[3][4] = {
+          // schedule, cancel, stale cancel, timer arm/disarm
+          {0.62, 0.08, 0.03, 0.05},  // grow
+          {0.40, 0.35, 0.05, 0.08},  // churn: stale keys pile up
+          {0.17, 0.10, 0.03, 0.10},  // drain
       };
       const double* mix = kMix[(step / 5000) % 3];
       double u = rng_.uniform();
@@ -357,6 +524,13 @@ class QueueOracle {
         cancel_live();
       } else if ((u -= mix[2]) < 0.0) {
         cancel_stale();
+      } else if ((u -= mix[3]) < 0.0) {
+        const std::size_t k = rng_.uniform_index(kTimers);
+        if (rng_.uniform() < 0.7) {
+          arm_timer(k);
+        } else {
+          disarm_timer(k);
+        }
       } else if (rng_.uniform() < 1e-4) {
         clear_all();
       } else {
@@ -366,6 +540,8 @@ class QueueOracle {
       check_state();
       if (::testing::Test::HasFailure()) return;
     }
+    // Stop timers re-arming themselves so the drain ends.
+    for (bool& rearm : timer_rearm_) rearm = false;
     while (!oracle_.empty()) {
       fire_one();
       if (::testing::Test::HasFailure()) return;
@@ -375,6 +551,7 @@ class QueueOracle {
 
  private:
   using Key = std::pair<Time, std::uint64_t>;  // (time, sequence)
+  static constexpr std::size_t kTimers = 3;
 
   /// Event times: exact ties at now and on a coarse grid, a near cluster,
   /// a long tail and a sparse far future.
@@ -432,20 +609,53 @@ class QueueOracle {
     EXPECT_FALSE(q_.cancel(id)) << "stale handle " << id;
   }
 
+  /// Arm (or re-arm) timer `k`: cancel its key, schedule a fresh one.
+  void arm_timer(std::size_t k) {
+    if (timer_key_[k]) oracle_.erase(*timer_key_[k]);
+    const Time t = draw_time();
+    timers_[k]->arm(t);
+    const Key key{t, ++seq_};
+    timer_payload_[k] = next_payload_++;
+    timer_rearm_[k] = rng_.uniform() < 0.3;
+    oracle_.emplace(key, Entry{kInvalidEventId, timer_payload_[k],
+                               static_cast<int>(k)});
+    timer_key_[k] = key;
+  }
+
+  void disarm_timer(std::size_t k) {
+    timers_[k]->disarm();
+    if (timer_key_[k]) oracle_.erase(*timer_key_[k]);
+    timer_key_[k].reset();
+  }
+
+  void on_timer_fired(std::size_t k) {
+    fired_.push_back(timer_payload_[k]);
+    if (timer_rearm_[k]) arm_timer(k);  // like the channel's completion
+  }
+
   void fire_one() {
     if (oracle_.empty()) {
       EXPECT_TRUE(q_.empty());
       return;
     }
+    // Retire the oracle's head before firing: a timer callback may re-arm
+    // its timer, inserting the key it fires at next.
     const auto top = oracle_.begin();
     const Key key = top->first;
     const Entry entry = top->second;
+    oracle_.erase(top);
+    if (entry.timer >= 0) {
+      timer_key_[static_cast<std::size_t>(entry.timer)].reset();
+    } else {
+      handle_key_.erase(entry.id);
+      dead_.push_back(entry.id);
+    }
     EXPECT_EQ(q_.next_time(), key.first);
     const std::size_t before = fired_.size();
     if (rng_.uniform() < 0.5) {
       auto fired = q_.pop();
       EXPECT_EQ(fired.time, key.first);
-      EXPECT_EQ(fired.id, entry.id);
+      if (entry.timer < 0) EXPECT_EQ(fired.id, entry.id);
       q_.set_now(fired.time);
       fired.fn();
     } else {
@@ -454,9 +664,6 @@ class QueueOracle {
     }
     ASSERT_EQ(fired_.size(), before + 1);
     EXPECT_EQ(fired_.back(), entry.payload);
-    oracle_.erase(top);
-    handle_key_.erase(entry.id);
-    dead_.push_back(entry.id);
   }
 
   void clear_all() {
@@ -465,18 +672,24 @@ class QueueOracle {
     handle_key_.clear();
     live_.clear();
     dead_.clear();  // ids restart: old handles would alias new events
+    for (auto& key : timer_key_) key.reset();  // disarmed, still registered
     seq_ = 0;
   }
 
   void check_state() {
     EXPECT_EQ(q_.size(), oracle_.size());
     EXPECT_EQ(q_.total_scheduled(), seq_);
+    for (std::size_t k = 0; k < kTimers; ++k) {
+      EXPECT_EQ(timers_[k]->armed(), timer_key_[k].has_value()) << k;
+      if (timer_key_[k]) EXPECT_EQ(timers_[k]->time(), timer_key_[k]->first);
+    }
     if (dead_.size() > 4096) dead_.erase(dead_.begin(), dead_.begin() + 2048);
   }
 
   struct Entry {
-    EventId id;
+    EventId id;  ///< kInvalidEventId for a timer's firing
     int payload;
+    int timer = -1;  ///< index of the firing timer, -1 for an event
   };
 
   EventQueue q_;
@@ -486,6 +699,11 @@ class QueueOracle {
   std::vector<EventId> live_;          ///< live handles (lazily pruned)
   std::vector<EventId> dead_;          ///< fired or cancelled handles
   std::vector<int> fired_;
+  // Destroyed before q_: every timer unregisters from a live queue.
+  std::vector<std::unique_ptr<Timer>> timers_;
+  std::optional<Key> timer_key_[kTimers];  ///< oracle key while armed
+  int timer_payload_[kTimers] = {};
+  bool timer_rearm_[kTimers] = {};  ///< the next firing re-arms the timer
   std::uint64_t seq_ = 0;  ///< sequence numbers handed out since clear()
   int next_payload_ = 0;
   std::size_t peak_ = 0;  ///< largest live population seen
