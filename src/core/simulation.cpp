@@ -155,7 +155,14 @@ class Runner final : private IoListener {
     sim::Time compute_started_at = 0.0;
     sim::Time last_ckpt_end = 0.0;  ///< d_i reference for Least-Waste
     sim::EventId ckpt_timer = sim::kInvalidEventId;
+    sim::Time ckpt_at = 0.0;  ///< firing time of `ckpt_timer` while armed
     sim::EventId milestone = sim::kInvalidEventId;
+    /// Next compute milestone. It is queued only when it can fire: while a
+    /// checkpoint request comes strictly first it is held here instead
+    /// (`milestone_held`), and the request drops or queues it.
+    sim::Time milestone_at = 0.0;
+    double milestone_target = 0.0;
+    bool milestone_held = false;
     bool ckpt_due = false;  ///< timer fired while the job was doing I/O
     /// A non-blocking checkpoint waiter that hit a routine-I/O boundary must
     /// stop computing (data dependence) and idle until the token arrives.
@@ -427,7 +434,7 @@ class Runner final : private IoListener {
     } else {
       // Token granted mid-compute: stop, snapshot, commit (§3.3).
       close_compute(rt, rt.compute_started_at, engine_.now());
-      cancel_event(rt.milestone);
+      drop_milestone(rt);
     }
     if (rt.work_pos >= rt.job.total_work) {
       // The job finished in the same instant the token arrived; the commit
@@ -493,34 +500,59 @@ class Runner final : private IoListener {
   }
 
   /// (Re)enter the computing state; optionally restart the checkpoint clock.
+  /// The milestone is queued before a new checkpoint timer (ties fire in
+  /// that order), unless the checkpoint request comes strictly first: the
+  /// job is then still computing when the request is made, and a blocking
+  /// request would only cancel the milestone again.
   void begin_compute(JobRt& rt, bool schedule_ckpt) {
     rt.state = JobState::kComputing;
     rt.compute_started_at = engine_.now();
-    schedule_milestone(rt);
+    plan_milestone(rt);
     const JobId jid = rt.job.id;
     if (schedule_ckpt && cfg_.checkpoints_enabled) {
       cancel_event(rt.ckpt_timer);
       rt.ckpt_due = false;
-      rt.ckpt_timer =
-          engine_.after(request_delay(rt), [this, jid] { on_ckpt_timer(jid); });
+      const sim::Time at = engine_.now() + request_delay(rt);
+      if (!(at < rt.milestone_at)) queue_milestone(rt);
+      rt.ckpt_at = at;
+      rt.ckpt_timer = engine_.at(at, [this, jid] { on_ckpt_timer(jid); });
     } else if (rt.ckpt_due && cfg_.checkpoints_enabled) {
       // The period elapsed while the job was doing routine I/O: request now.
       rt.ckpt_due = false;
       request_checkpoint(rt);
+    } else if (rt.ckpt_timer == sim::kInvalidEventId ||
+               !(rt.ckpt_at < rt.milestone_at)) {
+      queue_milestone(rt);
     }
   }
 
-  void schedule_milestone(JobRt& rt) {
+  /// Compute the next milestone (the next routine chunk or the end of the
+  /// work) and hold it; queue_milestone() puts it on the calendar.
+  void plan_milestone(JobRt& rt) {
     cancel_event(rt.milestone);
     const int n = routine_chunks(rt);
     double target = rt.job.total_work;
     if (rt.next_chunk <= n) {
       target = std::min(target, chunk_position(rt, rt.next_chunk));
     }
-    const double delay = std::max(0.0, target - rt.work_pos);
+    rt.milestone_at = engine_.now() + std::max(0.0, target - rt.work_pos);
+    rt.milestone_target = target;
+    rt.milestone_held = true;
+  }
+
+  void queue_milestone(JobRt& rt) {
+    if (!rt.milestone_held) return;
+    rt.milestone_held = false;
     const JobId jid = rt.job.id;
-    rt.milestone = engine_.after(
-        delay, [this, jid, target] { on_milestone(jid, target); });
+    const double target = rt.milestone_target;
+    rt.milestone = engine_.at(
+        rt.milestone_at, [this, jid, target] { on_milestone(jid, target); });
+  }
+
+  /// Cancel the queued milestone or forget the held one.
+  void drop_milestone(JobRt& rt) {
+    cancel_event(rt.milestone);
+    rt.milestone_held = false;
   }
 
   void on_milestone(JobId jid, double target) {
@@ -576,6 +608,7 @@ class Runner final : private IoListener {
     rt.ckpt_timer = sim::kInvalidEventId;
     if (rt.state != JobState::kComputing) {
       // Busy with routine I/O — remember and request at the next resume.
+      COOPCR_ASSERT(!rt.milestone_held, "held milestone outside compute");
       rt.ckpt_due = true;
       return;
     }
@@ -600,7 +633,8 @@ class Runner final : private IoListener {
     }
     if (cfg_.strategy.non_blocking_wait()) {
       // Keep computing until the token arrives (§3.3, §3.5). The compute
-      // interval stays open; the milestone event stays armed.
+      // interval stays open; a held milestone is queued now.
+      queue_milestone(rt);
       ++result_.counters.checkpoint_requests;
       if (fallback) ++result_.counters.bb_fallbacks;
       rt.state = JobState::kCkptWaitNb;
@@ -609,7 +643,7 @@ class Runner final : private IoListener {
     }
     // Blocking variants: stop computing at the request instant.
     close_compute(rt, rt.compute_started_at, engine_.now());
-    cancel_event(rt.milestone);
+    drop_milestone(rt);
     if (rt.work_pos >= rt.job.total_work) {
       begin_output(rt);
       return;
@@ -627,7 +661,7 @@ class Runner final : private IoListener {
   /// shared, so the write starts immediately at β_bb.
   void absorb_checkpoint(JobRt& rt) {
     close_compute(rt, rt.compute_started_at, engine_.now());
-    cancel_event(rt.milestone);
+    drop_milestone(rt);
     if (rt.work_pos >= rt.job.total_work) {
       begin_output(rt);
       return;
@@ -734,7 +768,7 @@ class Runner final : private IoListener {
     tr(jid, TraceKind::kFailure);
 
     close_open_intervals(rt, engine_.now());
-    cancel_event(rt.milestone);
+    drop_milestone(rt);
     cancel_event(rt.ckpt_timer);
 
     // Tear down any outstanding I/O.
