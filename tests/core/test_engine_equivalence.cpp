@@ -55,21 +55,24 @@ struct PinnedRun {
 
 // Captured from the seed (pre-overhaul) implementation: replica 0, seed
 // 0xD373C7, Cielo/APEX @ 40 GB/s, node MTBF 2 y, 8-day measured segment.
+// events_scheduled is the one re-pinned column: a compute milestone that a
+// checkpoint request precedes is no longer queued (it could never fire), so
+// fewer events are scheduled while the executed stream is the seed's.
 const std::vector<PinnedRun>& pinned_runs() {
   static const std::vector<PinnedRun> kPinned = {
-      {"Oblivious-Fixed", 1795ull, 3868ull, 223, 217, 788, 664, 112, 0, 232,
+      {"Oblivious-Fixed", 1795ull, 3032ull, 223, 217, 788, 664, 112, 0, 232,
        0, 217, 1020},
-      {"Oblivious-Daly", 1588ull, 3399ull, 223, 215, 631, 556, 67, 0, 240,
+      {"Oblivious-Daly", 1588ull, 2664ull, 223, 215, 631, 556, 67, 0, 240,
        13, 215, 886},
-      {"Ordered-Fixed", 1987ull, 2952ull, 223, 217, 867, 729, 23, 0, 232, 0,
+      {"Ordered-Fixed", 1987ull, 2055ull, 223, 217, 867, 729, 23, 0, 232, 0,
        217, 1099},
-      {"Ordered-Daly", 1657ull, 2575ull, 223, 214, 641, 573, 19, 0, 239, 13,
+      {"Ordered-Daly", 1657ull, 1821ull, 223, 214, 641, 573, 19, 0, 239, 13,
        214, 893},
-      {"Ordered-NB-Fixed", 1652ull, 2431ull, 223, 208, 671, 547, 22, 12, 234,
+      {"Ordered-NB-Fixed", 1652ull, 2394ull, 223, 208, 671, 547, 22, 12, 234,
        20, 208, 926},
-      {"Ordered-NB-Daly", 1416ull, 2179ull, 223, 207, 518, 446, 15, 6, 233,
+      {"Ordered-NB-Daly", 1416ull, 2076ull, 223, 207, 518, 446, 15, 6, 233,
        20, 207, 771},
-      {"Least-Waste", 1416ull, 2203ull, 223, 204, 513, 439, 22, 8, 230, 20,
+      {"Least-Waste", 1416ull, 2088ull, 223, 204, 513, 439, 22, 8, 230, 20,
        204, 763},
   };
   return kPinned;
@@ -131,7 +134,8 @@ TEST(EngineEquivalence, TieredCommitPathMatchesSeedImplementation) {
   const ReplicaRun run = run_replica(scenario, strategy, /*replica=*/0);
   const SimulationCounters& c = run.result.counters;
   EXPECT_EQ(run.result.events, 2515u);
-  EXPECT_EQ(run.result.events_scheduled, 3809u);
+  // Re-pinned like the table above: dead milestones are no longer queued.
+  EXPECT_EQ(run.result.events_scheduled, 2866u);
   EXPECT_EQ(c.bb_absorbs, 762u);
   EXPECT_EQ(c.bb_fallbacks, 0u);
   EXPECT_EQ(c.bb_drains_completed, 520u);
