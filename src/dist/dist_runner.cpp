@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "dist/journal.hpp"
 #include "dist/transport.hpp"
@@ -30,6 +31,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Campaigns = std::vector<std::unique_ptr<MonteCarloCampaign>>;
 
+/// Units a worker holds at once: the one it runs and the one it reads
+/// next, so it never waits on the coordinator's journal fdatasync.
+constexpr std::size_t kUnitsInFlight = 2;
+
 /// Coordinator-side view of one worker process.
 struct Worker {
   Worker(const WorkerEndpoint& endpoint, InboundFrames frames)
@@ -43,9 +48,11 @@ struct Worker {
   int from_fd = -1;  ///< worker → coordinator (kHello / kResult)
   bool alive = true;
   bool hello_ok = false;  ///< digest verified, may receive units
-  bool draining = false;  ///< shrinking: finish the in-flight unit, then retire
-  std::optional<UnitMsg> inflight;  ///< dispatched, result not yet seen
-  InboundFrames inbound;            ///< from_fd's frames, faults applied
+  bool draining = false;  ///< shrinking: finish the in-flight units, then retire
+  /// Dispatched, result not yet seen, in dispatch order; at most
+  /// kUnitsInFlight.
+  std::vector<UnitMsg> inflight;
+  InboundFrames inbound;  ///< from_fd's frames, faults applied
   Clock::time_point last_heard = Clock::now();
 };
 
@@ -124,8 +131,8 @@ class Fleet {
   }
 
   /// Set the target to `shards` (at least 1). A shrink retires idle workers
-  /// first, then marks busy ones draining: their in-flight unit completes
-  /// and ships before they exit, so no work is lost. A grow waits for the
+  /// first, then marks busy ones draining: their in-flight units complete
+  /// and ship before they exit, so no work is lost. A grow waits for the
   /// next grow(). The new target is reached without charge: casualties
   /// from before the resize no longer draw on the respawn budget.
   void resize(int shards) {
@@ -133,7 +140,7 @@ class Fleet {
     casualties_ = 0;
     int excess = active() - target_;
     for (Worker& w : workers_) {
-      if (excess > 0 && w.alive && !w.draining && !w.inflight) {
+      if (excess > 0 && w.alive && !w.draining && w.inflight.empty()) {
         retire(w);
         --excess;
       }
@@ -157,56 +164,57 @@ class Fleet {
     if (delta != 0) resize(target_ + delta);
   }
 
-  /// Kill every worker whose unit has been in flight, silent, past the
-  /// heartbeat deadline — presumed hung; its unit re-runs elsewhere to the
+  /// Kill every worker that has held units in flight, silent, past the
+  /// heartbeat deadline — presumed hung; its units re-run elsewhere to the
   /// same bits.
   void kill_hung() {
     if (options_.heartbeat_ms <= 0) return;
     for (Worker& w : workers_) {
-      if (w.alive && w.inflight &&
+      if (w.alive && !w.inflight.empty() &&
           elapsed_ms_since(w.last_heard) > options_.heartbeat_ms) {
         kill(w);
       }
     }
   }
 
-  /// Hand `w` its next pending unit if it can take one — or, once a
-  /// draining worker's last unit has landed, retire it.
+  /// Top `w` up to kUnitsInFlight pending units — or, once a draining
+  /// worker's last unit has landed, retire it. A draining worker gets no
+  /// new units.
   void dispatch(Worker& w) {
-    if (!w.alive || !w.hello_ok || w.inflight) return;
+    if (!w.alive || !w.hello_ok) return;
     if (w.draining) {
-      retire(w);
+      if (w.inflight.empty()) retire(w);
       return;
     }
-    if (pending_.empty()) return;
-    w.inflight = pending_.front();
-    pending_.pop_front();
-    try {
-      write_frame(w.to_fd, MsgType::kUnit, encode_unit(*w.inflight));
-      w.last_heard = Clock::now();
-    } catch (const Error&) {
-      kill(w);  // a broken pipe: the worker is gone, its unit goes back
+    while (w.inflight.size() < kUnitsInFlight && !pending_.empty()) {
+      w.inflight.push_back(pending_.front());
+      pending_.pop_front();
+      try {
+        write_frame(w.to_fd, MsgType::kUnit, encode_unit(w.inflight.back()));
+        w.last_heard = Clock::now();
+      } catch (const Error&) {
+        kill(w);  // a broken pipe: the worker is gone, its units go back
+        return;
+      }
     }
   }
 
-  void dispatch_idle() {
+  void dispatch_all() {
     for (Worker& w : workers_) {
       if (pending_.empty()) return;
       dispatch(w);
     }
   }
 
-  /// SIGKILL and reap `w` and put its in-flight unit back at the front of
-  /// the queue. Its held frames die with it: a dead worker's stream is
-  /// never read again.
+  /// SIGKILL and reap `w` and put its in-flight units back at the front of
+  /// the queue, in dispatch order. Its held frames die with it: a dead
+  /// worker's stream is never read again.
   void kill(Worker& w) {
     if (w.pid > 0) ::kill(w.pid, SIGKILL);
     reap(w);
     if (!w.draining) ++casualties_;
-    if (w.inflight) {
-      pending_.push_front(*w.inflight);
-      w.inflight.reset();
-    }
+    pending_.insert(pending_.begin(), w.inflight.begin(), w.inflight.end());
+    w.inflight.clear();
   }
 
   /// Graceful shutdown: kShutdown, then reap.
@@ -232,7 +240,7 @@ class Fleet {
     for (const Worker& w : workers_) {
       if (!w.alive) continue;
       if (w.inbound.holding()) return 1;
-      if (options_.heartbeat_ms > 0 && w.inflight) {
+      if (options_.heartbeat_ms > 0 && !w.inflight.empty()) {
         const int remaining =
             options_.heartbeat_ms - elapsed_ms_since(w.last_heard);
         const int t = std::max(1, remaining + 1);
@@ -251,7 +259,9 @@ class Fleet {
 
   int idle() const {  // active with no unit in flight
     int n = 0;
-    for (const Worker& w : workers_) n += w.alive && !w.draining && !w.inflight;
+    for (const Worker& w : workers_) {
+      n += w.alive && !w.draining && w.inflight.empty();
+    }
     return n;
   }
 
@@ -391,17 +401,28 @@ void handle_frame(Fleet& fleet, Intake& intake, Worker& w,
                "coordinator expected kResult, got frame type " +
                    std::to_string(static_cast<int>(frame.type)));
   ResultMsg result = decode_result(frame.payload);
-  COOPCR_CHECK(w.inflight && w.inflight->point == result.point &&
-                   w.inflight->replica == result.replica,
-               "worker returned a result for a unit it was not assigned");
-  w.inflight.reset();
+  // Any of the worker's units may land: a delayed frame can be overtaken by
+  // the result behind it.
+  const auto landed = std::find_if(
+      w.inflight.begin(), w.inflight.end(), [&](const UnitMsg& unit) {
+        return unit.point == result.point && unit.replica == result.replica;
+      });
+  COOPCR_CHECK(landed != w.inflight.end(),
+               "worker returned a result for unit (point " +
+                   std::to_string(result.point) + ", replica " +
+                   std::to_string(result.replica) +
+                   ") that is not in flight on it");
+  w.inflight.erase(landed);
+  // Top the worker up before the fdatasync below, so it computes while the
+  // coordinator waits on the disk. The slot is installed only once its
+  // record is durable.
+  fleet.dispatch(w);
   intake.journal.append_unit(result.point, result.replica, result.slot);
   intake.campaigns[result.point]->install_slot(
       static_cast<int>(result.replica), std::move(result.slot));
   --intake.outstanding;
   ++intake.fresh_results;
   fire_due_faults(fleet, intake);
-  fleet.dispatch(w);
 }
 
 std::string all_dead_message(const Intake& intake,
@@ -527,7 +548,7 @@ exp::ExperimentReport DistSweepRunner::run(const exp::ExperimentSpec& spec) {
       // fault actions fire right after the first grow.
       fleet.grow();
       fire_due_faults(fleet, intake);
-      fleet.dispatch_idle();
+      fleet.dispatch_all();
       poll_round(fleet, intake, options_);
     }
 

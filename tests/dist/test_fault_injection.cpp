@@ -4,8 +4,10 @@
 // mechanism — respawn, elastic resize (scripted and signal-driven),
 // heartbeat stall detection, frame drop/truncate/delay, journal tear and
 // journal flip — each asserting the final report matches the fault-free
-// in-process run byte for byte. The randomized closure over schedules
-// lives in test_fault_soak.cpp.
+// in-process run byte for byte — plus the cases that two units in flight
+// per worker open: a kill or a shrink with both units out, an overtaken
+// delayed result, and a rogue result for a unit not in flight. The
+// randomized closure over schedules lives in test_fault_soak.cpp.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +15,12 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -25,6 +29,8 @@
 
 #include "coopcr.hpp"
 #include "dist/fault_injection.hpp"
+#include "dist/journal.hpp"
+#include "dist/wire.hpp"
 
 namespace coopcr {
 namespace {
@@ -62,6 +68,54 @@ exp::ExperimentReport reference_report(const exp::ExperimentSpec& spec) {
   exp::SweepRunner runner(/*threads=*/1);
   return runner.run(spec);
 }
+
+// --- a rogue exec-mode worker ----------------------------------------------
+//
+// With kRogueWorkerEnv set, this test binary, exec'd as a dist worker,
+// answers its first unit with a result labelled two replicas further on —
+// a unit the coordinator never handed it. It runs from a global test
+// environment, before any test, and exits there.
+
+constexpr const char* kRogueWorkerEnv = "COOPCR_TEST_ROGUE_WORKER";
+
+void serve_as_rogue_worker() {
+  const exp::ExperimentSpec spec = grid_spec();
+  const std::vector<exp::GridPoint> points = spec.expand();
+  dist::HelloMsg hello;
+  hello.spec_digest = dist::spec_digest(spec, points);
+  dist::write_frame(dist::kWorkerOutFd, dist::MsgType::kHello,
+                    dist::encode_hello(hello));
+  const std::optional<dist::Frame> frame = dist::read_frame(dist::kWorkerInFd);
+  if (!frame || frame->type != dist::MsgType::kUnit) return;
+  const dist::UnitMsg unit = dist::decode_unit(frame->payload);
+  MonteCarloCampaign campaign(points[unit.point].scenario,
+                              spec.strategy_set(), spec.campaign_options());
+  campaign.run_replica_task(static_cast<int>(unit.replica));
+  dist::ResultMsg result;
+  result.point = unit.point;
+  result.replica = unit.replica + 2;
+  result.slot = campaign.slot(static_cast<int>(unit.replica));
+  dist::write_frame(dist::kWorkerOutFd, dist::MsgType::kResult,
+                    dist::encode_result(result));
+  while (dist::read_frame(dist::kWorkerInFd)) {
+  }
+}
+
+class RogueWorkerEnvironment : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    if (std::getenv(kRogueWorkerEnv) == nullptr) return;
+    try {
+      serve_as_rogue_worker();
+    } catch (const std::exception&) {
+      // The coordinator hung up mid-frame: a worker just exits.
+    }
+    std::_Exit(0);
+  }
+};
+
+[[maybe_unused]] ::testing::Environment* const kRogueWorker =
+    ::testing::AddGlobalTestEnvironment(new RogueWorkerEnvironment);
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -451,6 +505,87 @@ TEST_F(FaultInjectionTest,
   const exp::ExperimentReport survived = runner.run(spec);
   EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
   EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+}
+
+// --- two units in flight per worker ----------------------------------------
+
+TEST_F(FaultInjectionTest, KillWithTwoUnitsInFlightRequeuesBoth) {
+  const exp::ExperimentSpec spec = grid_spec();
+  const exp::ExperimentReport reference = reference_report(spec);
+  // One worker: when its first result lands it is topped up to two units,
+  // then killed. Both go back to the queue, in order, and its replacement
+  // runs them; a lost unit would leave the round unfinished.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->kill_worker(0, 1);
+  dist::DistOptions options;
+  options.shards = 1;
+  options.max_respawns = 1;
+  options.fault_plan = plan;
+  dist::DistSweepRunner runner(options);
+  const exp::ExperimentReport survived = runner.run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
+  EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+  EXPECT_TRUE(plan->actions().front().fired);
+}
+
+TEST_F(FaultInjectionTest, ShrinkRetiresADrainingWorkerAfterBothUnitsLand) {
+  const exp::ExperimentSpec spec = grid_spec();
+  const exp::ExperimentReport reference = reference_report(spec);
+  // Two workers, each holding two units, shrink to one after the third
+  // result: the draining worker gets no new unit and retires only once
+  // both of its units have shipped. Retiring it earlier would strand a
+  // unit on a dead worker.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->resize(1, 3);
+  dist::DistOptions options;
+  options.shards = 2;
+  options.fault_plan = plan;
+  dist::DistSweepRunner runner(options);
+  const exp::ExperimentReport shrunk = runner.run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(shrunk));
+  EXPECT_EQ(json_bytes(reference), json_bytes(shrunk));
+  EXPECT_TRUE(plan->actions().front().fired);
+}
+
+TEST_F(FaultInjectionTest, DelayedResultOvertakenByTheWorkersNextIsAccepted) {
+  const exp::ExperimentSpec spec = grid_spec();
+  const exp::ExperimentReport reference = reference_report(spec);
+  // One worker; its first result (frame 2) is held for 3 poll rounds while
+  // the result of its second unit, already in flight, arrives and is
+  // handled first. A result may match any unit in flight, not only the
+  // oldest.
+  auto plan = std::make_shared<dist::FaultPlan>();
+  plan->delay_frame(0, 2, 3);
+  dist::DistOptions options;
+  options.shards = 1;
+  options.fault_plan = plan;
+  dist::DistSweepRunner runner(options);
+  const exp::ExperimentReport survived = runner.run(spec);
+  EXPECT_EQ(csv_bytes(reference), csv_bytes(survived));
+  EXPECT_EQ(json_bytes(reference), json_bytes(survived));
+  EXPECT_TRUE(plan->actions().front().fired);
+}
+
+TEST_F(FaultInjectionTest, ResultForAUnitNotInFlightThrowsNamingTheUnit) {
+  const exp::ExperimentSpec spec = grid_spec();
+  // The rogue worker (above) is handed (point 0, replica 0) and (point 0,
+  // replica 1) and answers for replica 2, which is still queued.
+  dist::DistOptions options;
+  options.shards = 1;
+  options.worker_command = {
+      std::filesystem::read_symlink("/proc/self/exe").string()};
+  ::setenv(kRogueWorkerEnv, "1", 1);
+  try {
+    dist::DistSweepRunner runner(options);
+    runner.run(spec);
+    ::unsetenv(kRogueWorkerEnv);
+    FAIL() << "expected a result for a unit not in flight to throw";
+  } catch (const Error& e) {
+    ::unsetenv(kRogueWorkerEnv);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("point 0, replica 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("not in flight"), std::string::npos) << what;
+  }
 }
 
 TEST_F(FaultInjectionTest, TornJournalResumesByteIdentically) {
