@@ -33,7 +33,7 @@
 // Scripted worker kills and fleet resizes are fault-plan actions
 // (--fault-plan kill=0@2,resize=4@6). A running dist campaign also resizes
 // elastically on signals: SIGUSR1 grows the fleet by one worker, SIGUSR2
-// shrinks it by one (busy workers drain their in-flight unit first).
+// shrinks it by one (busy workers drain their in-flight units first).
 
 #include <cstdlib>
 #include <filesystem>

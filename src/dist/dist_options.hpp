@@ -46,9 +46,9 @@ struct DistOptions {
   /// historical requeue-to-survivors behaviour.
   int max_respawns = 0;
 
-  /// > 0: a worker with a unit in flight that has been silent this many
-  /// milliseconds is presumed hung, SIGKILLed, and its unit re-queued
-  /// (respawning within budget). 0 disables the deadline.
+  /// > 0: a worker with units in flight (it holds up to two) that has been
+  /// silent this many milliseconds is presumed hung, SIGKILLed, and its
+  /// units re-queued (respawning within budget). 0 disables the deadline.
   int heartbeat_ms = 0;
 
   /// Scripted fault injection (see dist/fault_injection.hpp): worker kills,

@@ -25,14 +25,16 @@
 // scripted fault schedules by tests/dist/test_fault_soak.cpp.
 //
 // Fault model (docs/ARCHITECTURE.md "Failure model of the campaign
-// engine"): a worker that dies mid-unit has its in-flight unit re-queued;
-// with a respawn budget (max_respawns) the coordinator also replaces the
-// casualty to keep the fleet at strength. A worker silent past
-// heartbeat_ms with a unit in flight is presumed hung and killed (then
-// respawned within budget). The fleet grows or shrinks mid-campaign via a
-// scripted FaultPlan resize or SIGUSR1/SIGUSR2. The sweep only fails once
-// no workers remain and the respawn budget is spent — and then the journal
-// already holds every completed unit.
+// engine"): each worker holds up to two units in flight (the one it runs
+// and the next, so it never waits on the journal's fdatasync); a worker
+// that dies has every in-flight unit re-queued at the queue front, in
+// dispatch order; with a respawn budget (max_respawns) the coordinator
+// also replaces the casualty to keep the fleet at strength. A worker
+// silent past heartbeat_ms with units in flight is presumed hung and
+// killed (then respawned within budget). The fleet grows or shrinks
+// mid-campaign via a scripted FaultPlan resize or SIGUSR1/SIGUSR2. The
+// sweep only fails once no workers remain and the respawn budget is spent
+// — and then the journal already holds every completed unit.
 //
 // Structure: run() validates, builds the campaigns, keeps the pending-unit
 // queue and turns the round loop. The fleet (dist_runner.cpp) owns the

@@ -655,7 +655,9 @@ class QueueOracle {
     if (rng_.uniform() < 0.5) {
       auto fired = q_.pop();
       EXPECT_EQ(fired.time, key.first);
-      if (entry.timer < 0) EXPECT_EQ(fired.id, entry.id);
+      if (entry.timer < 0) {
+        EXPECT_EQ(fired.id, entry.id);
+      }
       q_.set_now(fired.time);
       fired.fn();
     } else {
@@ -681,7 +683,9 @@ class QueueOracle {
     EXPECT_EQ(q_.total_scheduled(), seq_);
     for (std::size_t k = 0; k < kTimers; ++k) {
       EXPECT_EQ(timers_[k]->armed(), timer_key_[k].has_value()) << k;
-      if (timer_key_[k]) EXPECT_EQ(timers_[k]->time(), timer_key_[k]->first);
+      if (timer_key_[k]) {
+        EXPECT_EQ(timers_[k]->time(), timer_key_[k]->first);
+      }
     }
     if (dead_.size() > 4096) dead_.erase(dead_.begin(), dead_.begin() + 2048);
   }
