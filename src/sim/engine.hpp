@@ -2,8 +2,9 @@
 //
 // Discrete-event simulation engine: the run loop around EventQueue.
 //
-// The engine owns the clock. Components schedule callbacks; the engine fires
-// them in (time, sequence) order, advances `now()`, and invokes them. The
+// The engine owns the clock. Components schedule callbacks (or arm a
+// sim::Timer on queue()); the engine fires them in (time, sequence) order,
+// advances `now()`, and invokes them. The
 // loop stops when the queue drains, when a configured horizon is reached, or
 // when a component calls `stop()`.
 
