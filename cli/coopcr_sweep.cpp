@@ -2,8 +2,10 @@
 // line.
 //
 // The CLI runs any exp::spec_registry entry (a fast demo grid, the paper's
-// Monte Carlo figures 1, 2 and 4, and ablations A1-A4; --list-specs) and
-// prints the entry's own console presentation. It runs through either
+// figures 1-4, Table 1 and ablations A1-A5; --list-specs) and prints the
+// entry's own console presentation. A driven entry (Figure 3's bisection,
+// the closed-form tables) runs its own rounds of grids on the engine and
+// refuses --journal, --resume and --exec-workers. It runs through either
 // execution engine, selected purely via exp::ExecutorOptions and built
 // behind the exp::SweepExecutor interface:
 //
@@ -207,12 +209,23 @@ int main(int argc, char** argv) {
       }
     }
 
+    // A driven entry runs its own rounds of grids: none of them can be
+    // journaled or resumed, and an exec worker could not rebuild a round
+    // from (name, replicas).
+    const exp::NamedSpec& entry = exp::named_spec(spec_name);
+    COOPCR_CHECK(!entry.drive || (journal.empty() && !resume && !exec_workers),
+                 "spec \"" + spec_name + "\" is driven (each round is a fresh "
+                 "grid): --journal, --resume and --exec-workers need one grid");
+
     // Registry specs stay pure functions of (name, replicas); the campaign
     // options are overlaid afterwards — in worker mode too, and *before*
     // worker_serve, because the spec digest folds the pairing options in and
     // both sides must build the same campaign shape.
-    exp::ExperimentSpec spec = exp::build_named_spec(spec_name, mc.replicas);
-    spec.options(mc);
+    exp::ExperimentSpec spec;
+    if (!entry.drive || worker_mode) {
+      spec = exp::build_named_spec(spec_name, mc.replicas);
+      spec.options(mc);
+    }
 
     if (worker_mode) {
       // Exec-mode worker: rebuilt the spec above from --spec/--replicas;
@@ -229,9 +242,10 @@ int main(int argc, char** argv) {
       ::setenv("COOPCR_CSV_DIR", out_dir.c_str(), 1);
     }
 
-    std::cerr << "[coopcr_sweep] spec " << spec.name() << ": "
-              << spec.grid_size() << " points x " << mc.replicas
-              << " replicas, engine "
+    std::cerr << "[coopcr_sweep] spec " << spec_name << ": "
+              << (entry.drive ? std::string("driven rounds")
+                              : std::to_string(spec.grid_size()) + " points")
+              << " x " << mc.replicas << " replicas, engine "
               << (shards == 0 ? std::string("in-process")
                               : std::to_string(shards) + " shards")
               << (journal.empty() ? "" : ", journal " + journal)
@@ -290,10 +304,13 @@ int main(int argc, char** argv) {
             std::cerr << "[coopcr_sweep] " << point.label() << " done\n";
           });
     }
-    exp::ExperimentReport report = executor->run(spec);
-
     // The entry's presentation on stdout; machine artifacts via --out.
-    exp::find_spec_by_experiment(spec.name())->render(report, std::cout);
+    if (entry.drive) {
+      entry.drive(*executor, mc, std::cout);
+      return 0;
+    }
+    exp::ExperimentReport report = executor->run(spec);
+    entry.render(report, std::cout);
     if (const auto path = report.emit_csv()) {
       std::cout << "[csv] wrote " << *path << "\n";
     }

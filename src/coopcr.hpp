@@ -1,6 +1,6 @@
 // coopcr.hpp — the single public facade header.
 //
-// Everything an application, example or bench needs to define scenarios,
+// Everything an application, example or driver needs to define scenarios,
 // compose strategies and run simulations:
 //
 //   #include "coopcr.hpp"
@@ -77,8 +77,7 @@
 #include "workload/generator.hpp"
 #include "workload/job.hpp"
 
-// Presentation and numeric utilities used by the examples and benches.
-#include "util/ascii_chart.hpp"
+// Presentation and numeric utilities used by the examples and drivers.
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"

@@ -36,7 +36,7 @@ class ThreadPool;
 
 /// Execution options for the harness.
 struct MonteCarloOptions {
-  int replicas = 100;       ///< paper uses >= 1000; benches default lower
+  int replicas = 100;       ///< paper uses >= 1000; drivers default lower
   int threads = 0;          ///< 0 = hardware concurrency
 
   // --- variance reduction (core/variance_reduction.hpp) ---------------------
@@ -90,7 +90,7 @@ struct MonteCarloOptions {
   /// knobs COOPCR_ANTITHETIC, COOPCR_CONTROL_VARIATE, COOPCR_TARGET_CI,
   /// COOPCR_MAX_REPLICAS and COOPCR_CONTRAST — from the environment, falling
   /// back to the provided defaults when unset or empty. Used by
-  /// coopcr_sweep, fig3_prospective and the examples.
+  /// coopcr_sweep and the examples.
   /// Throws coopcr::Error on malformed values (non-numeric, trailing
   /// garbage, out of range): COOPCR_REPLICAS must be >= 1 and COOPCR_THREADS
   /// >= 0 (0 keeps the hardware-concurrency default).

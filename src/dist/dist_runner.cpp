@@ -233,6 +233,15 @@ class Fleet {
     }
   }
 
+  /// True while some unit is queued or in flight on a live worker. With
+  /// units outstanding and none of them there, no event can ever land one.
+  bool holds_work() const {
+    return !pending_.empty() ||
+           std::any_of(workers_.begin(), workers_.end(), [](const Worker& w) {
+             return w.alive && !w.inflight.empty();
+           });
+  }
+
   /// 1 ms while any frame is held (held frames age one round per wakeup),
   /// else until the nearest heartbeat deadline, else -1 (no timeout).
   int poll_timeout() const {
@@ -436,7 +445,9 @@ std::string all_dead_message(const Intake& intake,
   return what;
 }
 
-/// Wait once for worker output and handle everything it completes: feed
+/// Wait once for worker output and handle everything it completes — or
+/// throw when no live worker is left, or when the outstanding units are
+/// neither queued nor in flight (stranded: the wait would never end). Feed
 /// each ready stream, age every stream's held frames by one round, handle
 /// each frame the stream gives up, and kill a worker whose stream ended or
 /// was cut. Complete frames are handled before the death: a result the
@@ -450,6 +461,10 @@ void poll_round(Fleet& fleet, Intake& intake, const DistOptions& options) {
   const bool any_alive = std::any_of(workers.begin(), workers.end(),
                                      [](const Worker& w) { return w.alive; });
   COOPCR_CHECK(any_alive, all_dead_message(intake, options));
+  COOPCR_CHECK(fleet.holds_work(),
+               std::to_string(intake.outstanding) +
+                   " units outstanding, but none is queued or in flight on "
+                   "a live worker: the coordinator lost track of them");
   if (::poll(fds.data(), fds.size(), fleet.poll_timeout()) < 0) {
     if (errno == EINTR) return;
     COOPCR_CHECK(false, std::string("poll failed: ") + std::strerror(errno));

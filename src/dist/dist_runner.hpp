@@ -68,13 +68,15 @@ class DistSweepRunner final : public exp::SweepExecutor {
   /// same contract as exp::SweepRunner::on_point. Sequential stopping
   /// (target_ci_width) runs inside run(): the coordinator grows every point
   /// in journaled rounds sized by exp::next_sequential_round. Drivers that
-  /// pick their next campaigns from earlier results, like fig3's bisection,
-  /// run in-process on exp::SweepRunner::run_batch.
+  /// pick their next grids from earlier results, like Figure 3's
+  /// bisection, call run() once per grid; each call spawns its own fleet.
   DistSweepRunner& on_point(PointCallback callback) override;
 
   /// Expand `spec` and run the full grid across the worker fleet. Throws
   /// coopcr::Error on journal/digest mismatches, when every worker died
-  /// with units outstanding and no respawn budget remains.
+  /// with units outstanding and no respawn budget remains, and when
+  /// outstanding units are neither queued nor in flight (a coordinator
+  /// bug that would otherwise wait forever).
   exp::ExperimentReport run(const exp::ExperimentSpec& spec) override;
 
  private:

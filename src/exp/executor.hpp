@@ -4,9 +4,9 @@
 //
 // SweepExecutor is the one contract every sweep engine implements:
 // `run(spec) -> ExperimentReport` with grid-order point callbacks.
-// Adaptive drivers that pick their next campaigns from earlier results
-// (fig3's lockstep bisection) call exp::SweepRunner::run_batch directly.
-// Two backends ship with the repo — exp::SweepRunner (shared thread pool,
+// Adaptive drivers that pick their next grids from earlier results (the
+// spec registry's Figure 3 bisection) call run() once per grid. Two
+// backends ship with the repo — exp::SweepRunner (shared thread pool,
 // in-process) and dist::DistSweepRunner (multi-process shard workers with a
 // durable journal) — and both produce byte-identical reports for the same
 // spec, so callers select an engine by *options*, never by concrete type —

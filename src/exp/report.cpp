@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <ostream>
-#include <utility>
 
-#include "util/ascii_chart.hpp"
 #include "util/csv.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -398,37 +394,6 @@ std::optional<std::string> Figure::emit_csv() const {
   std::ofstream out(path);
   COOPCR_CHECK(out.good(), "cannot open CSV output file: " + path);
   write_csv(out);
-  return path;
-}
-
-void Figure::render(std::ostream& os) const {
-  print(os);
-  // Optional terminal plot of the mean curves (COOPCR_PLOT=1).
-  if (env::flag_knob("COOPCR_PLOT")) {
-    std::map<std::string, std::vector<std::pair<double, double>>> by_series;
-    for (const auto& row : rows) {
-      by_series[row.series].emplace_back(row.x, row.stats.mean);
-    }
-    AsciiChart chart(72, 20);
-    const std::string markers = "*o+x#@%$&";
-    std::size_t i = 0;
-    for (const auto& [name, points] : by_series) {
-      chart.add_series(name, points, markers[i % markers.size()]);
-      ++i;
-    }
-    os << "\n" << chart.render();
-  }
-}
-
-std::optional<std::string> emit_table_csv(
-    const std::string& file_id, const std::vector<std::string>& header,
-    const std::vector<std::vector<std::string>>& rows) {
-  const auto dir = CsvWriter::env_output_dir();
-  if (!dir) return std::nullopt;
-  const std::string path = *dir + "/" + file_id + ".csv";
-  CsvWriter csv(path);
-  csv.write_row(header);
-  for (const auto& row : rows) csv.write_row(row);
   return path;
 }
 

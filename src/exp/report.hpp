@@ -8,9 +8,9 @@
 // candlestick summaries. Number formatting is locale-independent
 // (util/csv.hpp format_number) and round-trips doubles exactly.
 //
-// Figure is the paper-style presentation: the candlestick console table,
-// the optional COOPCR_PLOT ascii chart, and the legacy per-figure CSV
-// schema. Both layers honour COOPCR_CSV_DIR through the emit_* helpers.
+// Figure is the paper-style presentation: the candlestick console table and
+// the legacy per-figure CSV schema. Both layers honour COOPCR_CSV_DIR
+// through the emit_* helpers.
 
 #pragma once
 
@@ -133,7 +133,7 @@ struct ExperimentReport {
 };
 
 /// Paper-style candlestick figure presentation (console table + legacy CSV
-/// schema + optional COOPCR_PLOT ascii chart).
+/// schema).
 struct Figure {
   std::string id;       ///< file stem of the CSV artifact
   std::string title;
@@ -150,17 +150,6 @@ struct Figure {
 
   /// Write the CSV under COOPCR_CSV_DIR as `<id>.csv`; nullopt when unset.
   std::optional<std::string> emit_csv() const;
-
-  /// The console presentation: print(os) and the COOPCR_PLOT=1 ascii chart
-  /// of the mean curves. Writes no files — callers that want the legacy CSV
-  /// call emit_csv() themselves.
-  void render(std::ostream& os) const;
 };
-
-/// CSV twin of a console table (Table 1, ablation A5): writes
-/// `<file_id>.csv` under COOPCR_CSV_DIR; nullopt when unset.
-std::optional<std::string> emit_table_csv(
-    const std::string& file_id, const std::vector<std::string>& header,
-    const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace coopcr::exp

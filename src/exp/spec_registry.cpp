@@ -3,14 +3,19 @@
 #include <ostream>
 #include <utility>
 
+#include "core/daly.hpp"
 #include "core/lower_bound.hpp"
+#include "core/optimal_period.hpp"
 #include "core/policy.hpp"
 #include "core/scenario.hpp"
 #include "core/strategy.hpp"
+#include "exp/executor.hpp"
 #include "exp/report.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "workload/apex.hpp"
 
 namespace coopcr::exp {
 
@@ -172,7 +177,7 @@ void render_with_model(const ExperimentReport& report, std::ostream& os,
     rows.push_back(FigureRow{x, "Theoretical Model", model});
   }
   const Figure fig{report.name, title, x_label, "waste ratio", rows};
-  fig.render(os);
+  fig.print(os);
 }
 
 void render_fig1(const ExperimentReport& report, std::ostream& os) {
@@ -196,7 +201,7 @@ void render_fig4(const ExperimentReport& report, std::ostream& os) {
       "System: Cielo @ 80 GB/s; Node MTBF: 2 years; workload: LANL APEX",
       "P_io / P_compute", "energy waste ratio",
       report.figure_rows(Metric::kEnergyWasteRatio)};
-  fig.render(os);
+  fig.print(os);
   // Headline: energy-aware periods vs Least-Waste's Daly periods at the
   // I/O-power-dominated end of the sweep.
   const PointResult& heavy = report.at(report.points.size() - 1);
@@ -217,7 +222,7 @@ void render_ablation_interference(const ExperimentReport& report,
       "node MTBF 2 y)\nalpha = 0 is the paper's linear model",
       "degradation alpha", "waste ratio",
       report.figure_rows(Metric::kWasteRatio, "interference_alpha")};
-  fig.render(os);
+  fig.print(os);
 }
 
 void render_ablation_token_policy(const ExperimentReport& report,
@@ -227,7 +232,7 @@ void render_ablation_token_policy(const ExperimentReport& report,
       "Ablation A2: token policy on the Ordered-NB-Daly chassis\n"
       "(Cielo, 40 GB/s, node MTBF 2 y)",
       "case #", "waste ratio", report.case_rows()};
-  fig.render(os);
+  fig.print(os);
 }
 
 void render_ablation_candidate_rule(const ExperimentReport& report,
@@ -237,7 +242,7 @@ void render_ablation_candidate_rule(const ExperimentReport& report,
       "Ablation A3: Least-Waste request offset and waste-formula variant\n"
       "(Cielo, 40 GB/s, node MTBF 2 y; row 0 is the paper configuration)",
       "case #", "waste ratio", report.case_rows()};
-  fig.render(os);
+  fig.print(os);
 }
 
 void render_ablation_burst_buffer(const ExperimentReport& report,
@@ -250,13 +255,13 @@ void render_ablation_burst_buffer(const ExperimentReport& report,
       "checkpoint working set",
       "capacity factor", "blocked-commit waste",
       report.figure_rows(Metric::kCkptWasteRatio)};
-  blocked.render(os);
+  blocked.print(os);
   const Figure total{
       "ablation_burst_buffer_total",
       "\nAblation A4 (companion): total waste ratio over the same sweep",
       "capacity factor", "waste ratio",
       report.figure_rows(Metric::kWasteRatio)};
-  total.render(os);
+  total.print(os);
   // Headline: tiered vs direct cooperative commits once the buffer holds
   // the whole working set (capacity factor 1, grid point 2).
   const PointResult& knee = report.at(2);
@@ -270,37 +275,317 @@ void render_ablation_burst_buffer(const ExperimentReport& report,
      << "% less time blocked on commits\n";
 }
 
+
+// --- driven entries -----------------------------------------------------------
+
+/// One Figure 3 bisection cell: a (node MTBF, strategy) pair hunting the
+/// smallest bandwidth whose mean waste meets the target. It replays
+/// bisect_threshold (util/numeric.hpp) one probe per round: lo, then hi,
+/// then midpoints until xtol or 200 halvings.
+struct BisectionCell {
+  double years = 0.0;
+  std::size_t strategy = 0;  ///< index into paper_strategies()
+  double lo = 0.0;
+  double hi = 0.0;
+  int probes = 0;  ///< probes folded in so far
+  bool done = false;
+  double result = 0.0;
+
+  double probe() const {
+    return probes == 0 ? lo : probes == 1 ? hi : 0.5 * (lo + hi);
+  }
+
+  /// Fold in whether probe() met the waste target.
+  void observe(bool hit, double xtol) {
+    switch (probes++) {
+      case 0:
+        if (hit) finish(lo);
+        return;
+      case 1:
+        if (!hit) return finish(hi);
+        break;
+      default:
+        (hit ? hi : lo) = 0.5 * (lo + hi);
+        break;
+    }
+    if (probes - 2 >= 200 || hi - lo <= xtol) finish(hi);
+  }
+
+  void finish(double x) {
+    result = x;
+    done = true;
+  }
+};
+
+/// Figure 3 (§6.2): on the prospective system (50,000 nodes, 7 PB) running
+/// the projected APEX workload, the smallest aggregated bandwidth whose mean
+/// waste ratio is <= 20% (80% efficiency), per node MTBF and strategy; the
+/// model series is Theorem 1. The bisection runs in lockstep: every live
+/// cell advances one probe per round, and a round is one grid per strategy
+/// whose "probe" axis holds that strategy's live cells (each point sets the
+/// cell's node MTBF and probe bandwidth).
+void drive_fig3(SweepExecutor& executor, const MonteCarloOptions& options,
+                std::ostream& os) {
+  const std::vector<double> mtbf_years = {5, 10, 15, 20, 25};
+  const std::vector<Strategy> strategies = paper_strategies();
+  const double target_waste = 0.20;
+  const double lo = units::tb_per_s(0.25);
+  const double hi = units::tb_per_s(60);
+  // Bandwidth resolution of the bisection (the paper plots 5..25 TB/s).
+  const double xtol = units::tb_per_s(0.25);
+
+  std::vector<BisectionCell> cells;
+  for (const double years : mtbf_years) {
+    for (std::size_t s = 0; s < strategies.size(); ++s) {
+      cells.push_back(BisectionCell{years, s, lo, hi});
+    }
+  }
+  for (bool live = true; live;) {
+    live = false;
+    for (std::size_t s = 0; s < strategies.size(); ++s) {
+      std::vector<BisectionCell*> round;
+      SweepAxis probe{"probe", {}};
+      for (BisectionCell& cell : cells) {
+        if (cell.strategy != s || cell.done) continue;
+        round.push_back(&cell);
+        const double years = cell.years;
+        const double bandwidth = cell.probe();
+        probe.points.push_back(AxisPoint{
+            bandwidth / units::kTB,
+            format_number(years, 6) + " y @ " +
+                format_number(bandwidth / units::kTB, 6) + " TB/s",
+            [years, bandwidth](ScenarioBuilder& b) {
+              b.pfs_bandwidth(bandwidth).node_mtbf(units::years(years));
+            }});
+      }
+      if (round.empty()) continue;
+      live = true;
+      ExperimentSpec spec(ScenarioBuilder::prospective_apex(),
+                          "fig3_prospective");
+      spec.axis(std::move(probe)).strategies({strategies[s]}).options(options);
+      const ExperimentReport report = executor.run(spec);
+      for (std::size_t k = 0; k < round.size(); ++k) {
+        const double waste =
+            report.points[k].report.outcomes[0].waste_ratio.mean();
+        round[k]->observe(waste <= target_waste, xtol);
+      }
+    }
+  }
+
+  const auto flat = [](double value, std::size_t n) {
+    Candlestick point;
+    point.mean = point.d1 = point.q1 = point.median = point.q3 = point.d9 =
+        value / units::kTB;
+    point.n = n;
+    return point;
+  };
+  std::vector<FigureRow> rows;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const BisectionCell& cell = cells[c];
+    rows.push_back(FigureRow{cell.years, strategies[cell.strategy].name(),
+                             flat(cell.result, static_cast<std::size_t>(
+                                                   options.replicas))});
+    if (cell.strategy + 1 < strategies.size()) continue;
+    const ScenarioConfig scenario = ScenarioBuilder::prospective_apex()
+                                        .pfs_bandwidth(units::tb_per_s(1))
+                                        .node_mtbf(units::years(cell.years))
+                                        .build();
+    const double model = min_bandwidth_for_waste(
+        scenario.platform, scenario.applications, target_waste, lo, hi);
+    rows.push_back(FigureRow{cell.years, "Theoretical Model", flat(model, 0)});
+  }
+
+  const Figure fig{
+      "fig3_prospective",
+      "Figure 3: minimum aggregated bandwidth (TB/s) for 80% efficiency\n"
+      "System: prospective (50k nodes, 7 PB); workload: APEX projected",
+      "node MTBF (years)", "min bandwidth (TB/s)", rows};
+  fig.print(os);
+  if (const auto path = fig.emit_csv()) os << "[csv] wrote " << *path << "\n";
+}
+
+/// Write a driven table's CSV twin `<file_id>.csv` under COOPCR_CSV_DIR and
+/// say where it went; nothing when the variable is unset.
+void emit_table(std::ostream& os, const std::string& file_id,
+                const std::vector<std::string>& header,
+                const std::vector<std::vector<std::string>>& rows) {
+  const auto dir = CsvWriter::env_output_dir();
+  if (!dir) return;
+  const std::string path = *dir + "/" + file_id + ".csv";
+  CsvWriter csv(path);
+  csv.write_row(header);
+  for (const auto& row : rows) csv.write_row(row);
+  os << "[csv] wrote " << path << "\n";
+}
+
+/// Table 1: the LANL workflow workload from the APEX Workflows report, plus
+/// the derived per-class quantities (q_i, footprint, C_i, µ_i, P_Daly) on
+/// Cielo that every other experiment builds on. Closed form.
+void drive_table1(SweepExecutor&, const MonteCarloOptions&, std::ostream& os) {
+  const PlatformSpec cielo = PlatformSpec::cielo();
+  const auto apps = apex_lanl_classes();
+  const auto classes = resolve_all(apps, cielo);
+
+  os << "Table 1: LANL Workflow Workload from the APEX Workflows report\n"
+     << "Platform: " << cielo.name << " (" << cielo.total_cores() << " cores, "
+     << cielo.memory_bytes / units::kTB << " TB memory, "
+     << cielo.pfs_bandwidth / units::kGB << " GB/s PFS)\n\n";
+
+  TablePrinter paper({"Workflow", "Workload %", "Work time (h)", "Cores",
+                      "Input (%mem)", "Output (%mem)", "Ckpt (%mem)"});
+  for (const auto& app : apps) {
+    paper.add_row({app.name, TablePrinter::fmt(app.workload_share * 100, 1),
+                   TablePrinter::fmt(app.work_seconds / units::kHour, 1),
+                   std::to_string(app.cores),
+                   TablePrinter::fmt(app.input_fraction * 100, 0),
+                   TablePrinter::fmt(app.output_fraction * 100, 0),
+                   TablePrinter::fmt(app.checkpoint_fraction * 100, 0)});
+  }
+  paper.print(os);
+
+  os << "\nDerived quantities on Cielo (node MTBF "
+     << cielo.node_mtbf / units::kYear << " y => system MTBF "
+     << TablePrinter::fmt(cielo.system_mtbf() / units::kHour, 2) << " h):\n\n";
+
+  TablePrinter derived({"Workflow", "q (units)", "Footprint (TB)",
+                        "Ckpt (TB)", "C=R at 160GB/s (s)", "mu_i (h)",
+                        "P_Daly (s)", "steady jobs"});
+  for (const auto& cls : classes) {
+    derived.add_row(
+        {cls.app.name, std::to_string(cls.nodes),
+         TablePrinter::fmt(cls.footprint_bytes / units::kTB, 2),
+         TablePrinter::fmt(cls.checkpoint_bytes / units::kTB, 2),
+         TablePrinter::fmt(cls.checkpoint_seconds, 1),
+         TablePrinter::fmt(cls.mtbf / units::kHour, 2),
+         TablePrinter::fmt(cls.daly_period, 1),
+         TablePrinter::fmt(cls.steady_state_jobs(cielo), 2)});
+  }
+  derived.print(os);
+
+  // Aggregate I/O pressure at the Daly periods: the quantity that drives the
+  // whole paper (F > 1 means Daly periods are infeasible, Theorem 1).
+  const LowerBoundResult bound = solve_lower_bound(cielo, apps);
+  os << "\nSteady-state I/O fraction at optimal periods (160 GB/s): F = "
+     << TablePrinter::fmt(bound.io_fraction, 4)
+     << (bound.io_constrained ? "  [I/O-constrained, lambda = "
+                              : "  [unconstrained, lambda = ")
+     << bound.lambda << "]\n"
+     << "Lower-bound platform waste (Eq. 7): "
+     << TablePrinter::fmt(bound.waste, 4) << "\n";
+
+  std::vector<std::vector<std::string>> csv_rows;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const auto& a = apps[i];
+    const auto& c = classes[i];
+    std::vector<std::string> row = {a.name};
+    for (const double v :
+         {a.workload_share * 100, a.work_seconds / units::kHour,
+          static_cast<double>(a.cores), a.input_fraction * 100,
+          a.output_fraction * 100, a.checkpoint_fraction * 100,
+          static_cast<double>(c.nodes), c.footprint_bytes / units::kTB,
+          c.checkpoint_bytes / units::kTB, c.checkpoint_seconds,
+          c.mtbf / units::kHour, c.daly_period}) {
+      row.push_back(format_number(v, 8));
+    }
+    csv_rows.push_back(std::move(row));
+  }
+  emit_table(os, "table1_workload",
+             {"workflow", "workload_pct", "work_h", "cores", "input_pct",
+              "output_pct", "ckpt_pct", "nodes", "footprint_tb", "ckpt_tb",
+              "ckpt_s", "mtbf_h", "daly_s"},
+             csv_rows);
+}
+
+/// Ablation A5: checkpoint-period formula quality across the APEX classes
+/// at both Figure 1 operating points — Young, Daly-higher-order and exact
+/// optimal periods, the exact overhead at each, and Eq. (3)'s first-order
+/// estimate at the Young period. Closed form.
+void drive_ablation_period_formula(SweepExecutor&, const MonteCarloOptions&,
+                                   std::ostream& os) {
+  std::vector<std::vector<std::string>> csv_rows;
+  for (const double gbps : {40.0, 160.0}) {
+    PlatformSpec cielo = PlatformSpec::cielo();
+    cielo.pfs_bandwidth = units::gb_per_s(gbps);
+    const auto classes = resolve_all(apex_lanl_classes(), cielo);
+
+    os << "Ablation A5: period formulas at " << gbps
+       << " GB/s (node MTBF 2 y)\n\n";
+    TablePrinter table({"class", "C/mu", "P_young (s)", "P_daly (s)",
+                        "P_exact (s)", "H(young)", "H(daly)", "H(exact)",
+                        "Eq.(3)@young"});
+    for (const auto& cls : classes) {
+      const auto cmp = compare_periods(cls.checkpoint_seconds,
+                                       cls.recovery_seconds, cls.mtbf);
+      const double eq3 = periodic_waste(cmp.young, cls.checkpoint_seconds,
+                                        cls.recovery_seconds, cls.mtbf);
+      table.add_row({cls.app.name,
+                     TablePrinter::fmt(cls.checkpoint_seconds / cls.mtbf, 3),
+                     TablePrinter::fmt(cmp.young, 0),
+                     TablePrinter::fmt(cmp.daly, 0),
+                     TablePrinter::fmt(cmp.exact, 0),
+                     TablePrinter::fmt(cmp.overhead_young, 4),
+                     TablePrinter::fmt(cmp.overhead_daly, 4),
+                     TablePrinter::fmt(cmp.overhead_exact, 4),
+                     TablePrinter::fmt(eq3, 4)});
+      csv_rows.push_back({std::to_string(gbps), cls.app.name,
+                          TablePrinter::fmt(cls.checkpoint_seconds / cls.mtbf, 6),
+                          TablePrinter::fmt(cmp.young, 3),
+                          TablePrinter::fmt(cmp.daly, 3),
+                          TablePrinter::fmt(cmp.exact, 3),
+                          TablePrinter::fmt(cmp.overhead_young, 6),
+                          TablePrinter::fmt(cmp.overhead_daly, 6),
+                          TablePrinter::fmt(cmp.overhead_exact, 6),
+                          TablePrinter::fmt(eq3, 6)});
+    }
+    table.print(os);
+    os << "\n";
+  }
+  emit_table(os, "ablation_period_formula",
+             {"bandwidth_gbps", "class", "c_over_mu", "p_young", "p_daly",
+              "p_exact", "h_young", "h_daly", "h_exact", "eq3_at_young"},
+             csv_rows);
+}
+
 }  // namespace
 
 const std::vector<NamedSpec>& spec_registry() {
   static const std::vector<NamedSpec> kSpecs = {
       {"demo", "2x2 bandwidth x interference demo grid, 2 strategies",
-       build_demo, render_summary},
+       build_demo, render_summary, nullptr},
       {"fig1", "paper Figure 1: waste vs PFS bandwidth 40-160 GB/s, Cielo",
-       build_fig1, render_fig1},
+       build_fig1, render_fig1, nullptr},
       {"fig2", "paper Figure 2: waste vs node MTBF 2-50 y, Cielo at 40 GB/s",
-       build_fig2, render_fig2},
+       build_fig2, render_fig2, nullptr},
+      {"fig3",
+       "paper Figure 3: min bandwidth for 80% efficiency vs node MTBF, "
+       "prospective system (bisection)",
+       nullptr, nullptr, drive_fig3},
       {"fig4", "Figure 4 (extension): energy waste vs I/O power ratio",
-       build_fig4, render_fig4},
+       build_fig4, render_fig4, nullptr},
+      {"table1", "paper Table 1: APEX workload and derived per-class values",
+       nullptr, nullptr, drive_table1},
       {"ablation_interference",
        "ablation A1: linear vs adversarial PFS interference",
-       build_ablation_interference, render_ablation_interference},
+       build_ablation_interference, render_ablation_interference, nullptr},
       {"ablation_token_policy",
        "ablation A2: token policy on the Ordered-NB-Daly chassis",
-       build_ablation_token_policy, render_ablation_token_policy},
+       build_ablation_token_policy, render_ablation_token_policy, nullptr},
       {"ablation_candidate_rule",
        "ablation A3: Least-Waste request offset x waste formula",
-       build_ablation_candidate_rule, render_ablation_candidate_rule},
+       build_ablation_candidate_rule, render_ablation_candidate_rule, nullptr},
       {"ablation_burst_buffer",
        "ablation A4: blocked-commit waste vs burst-buffer capacity",
-       build_ablation_burst_buffer, render_ablation_burst_buffer},
+       build_ablation_burst_buffer, render_ablation_burst_buffer, nullptr},
+      {"ablation_period_formula",
+       "ablation A5: Young vs Daly vs exact checkpoint periods",
+       nullptr, nullptr, drive_ablation_period_formula},
   };
   return kSpecs;
 }
 
-ExperimentSpec build_named_spec(const std::string& name, int replicas) {
+const NamedSpec& named_spec(const std::string& name) {
   for (const NamedSpec& entry : spec_registry()) {
-    if (name == entry.name) return entry.build(replicas);
+    if (name == entry.name) return entry;
   }
   std::string known;
   for (const NamedSpec& entry : spec_registry()) {
@@ -309,9 +594,17 @@ ExperimentSpec build_named_spec(const std::string& name, int replicas) {
   throw Error("unknown spec \"" + name + "\" — registered: " + known);
 }
 
+ExperimentSpec build_named_spec(const std::string& name, int replicas) {
+  const NamedSpec& entry = named_spec(name);
+  COOPCR_CHECK(entry.build != nullptr,
+               "spec \"" + name + "\" is driven: it runs its own rounds of "
+               "grids and has no one grid to build");
+  return entry.build(replicas);
+}
+
 const NamedSpec* find_spec_by_experiment(const std::string& experiment) {
   for (const NamedSpec& entry : spec_registry()) {
-    if (experiment == entry.build(1).name()) return &entry;
+    if (entry.build && experiment == entry.build(1).name()) return &entry;
   }
   return nullptr;
 }

@@ -5,22 +5,16 @@
 // SweepRunner expands an ExperimentSpec and schedules every
 // (grid point × replica) task of the whole grid onto one shared ThreadPool —
 // replicas of different grid points interleave freely, so a 7-point sweep
-// does not serialise at point boundaries. run() and run_batch() share one
-// loop: each campaign starts its next sequential-stopping round as soon as
-// its own tasks drain, and a fixed-count campaign is the one-round case.
-// Because each replica task writes a preassigned slot (MonteCarloCampaign)
-// and reductions fold slots in replica order, reports are bit-identical for
-// any thread count and identical to per-point run_monte_carlo calls.
-//
-// run_batch() is the lower-level entry for adaptive drivers whose next grid
-// is data-dependent — e.g. the Figure 3 bisection runs all not-yet-converged
-// (MTBF, strategy) cells' probes as one batch per bisection round.
+// does not serialise at point boundaries. Each point's campaign starts its
+// next sequential-stopping round as soon as its own tasks drain, and a
+// fixed-count campaign is the one-round case. Because each replica task
+// writes a preassigned slot (MonteCarloCampaign) and reductions fold slots
+// in replica order, reports are bit-identical for any thread count and
+// identical to per-point run_monte_carlo calls.
 
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "core/monte_carlo.hpp"
 #include "exp/executor.hpp"
@@ -28,14 +22,6 @@
 #include "exp/report.hpp"
 
 namespace coopcr::exp {
-
-/// One unit of run_batch work: a Monte Carlo campaign (scenario × strategy
-/// set).
-struct Campaign {
-  ScenarioConfig scenario;
-  std::vector<Strategy> strategies;
-  MonteCarloOptions options;  ///< `threads` is ignored — the pool governs
-};
 
 /// Resolved sequential-stopping replica cap for `options`:
 /// resolved_max_replicas() with antithetic pair parity kept.
@@ -71,7 +57,7 @@ int next_sequential_round(const MonteCarloCampaign& campaign, int cap);
 class SweepRunner final : public SweepExecutor {
  public:
   /// `threads` sizes the shared pool; 0 selects hardware concurrency. The
-  /// pool is created once and reused across run()/run_batch() calls.
+  /// pool is created once and reused across run() calls.
   explicit SweepRunner(int threads = 0);
   ~SweepRunner() override;
 
@@ -88,13 +74,9 @@ class SweepRunner final : public SweepExecutor {
   SweepRunner& on_point(PointCallback callback) override;
 
   /// Expand `spec` and run the full grid. The spec's strategy set and
-  /// campaign options apply at every point.
+  /// campaign options apply at every point. A failure names the first
+  /// failing grid point in grid order.
   ExperimentReport run(const ExperimentSpec& spec) override;
-
-  /// Run several campaigns concurrently on the shared pool; reports come
-  /// back in campaign order. A failure names the first failing campaign in
-  /// batch order.
-  std::vector<MonteCarloReport> run_batch(std::vector<Campaign> campaigns);
 
  private:
   std::unique_ptr<ThreadPool> pool_;

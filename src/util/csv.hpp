@@ -1,8 +1,8 @@
 // coopcr/util/csv.hpp
 //
-// Minimal CSV writer for bench output. Every bench can dump its series as a
-// CSV file (ready for gnuplot / pandas) when COOPCR_CSV_DIR is set, in
-// addition to the human-readable console table.
+// Minimal CSV writer for artifact output. Every paper artifact can dump its
+// series as a CSV file (ready for gnuplot / pandas) when COOPCR_CSV_DIR is
+// set, in addition to the human-readable console table.
 
 #pragma once
 
@@ -53,7 +53,7 @@ class CsvWriter {
   static std::string escape(const std::string& field);
 
   /// Resolve the CSV output directory from COOPCR_CSV_DIR; nullopt when the
-  /// variable is unset or empty (benches then skip CSV output).
+  /// variable is unset or empty (artifacts then skip CSV output).
   static std::optional<std::string> env_output_dir();
 
  private:

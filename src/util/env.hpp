@@ -5,7 +5,7 @@
 //
 // Every binary in the repo reads its runtime knobs (COOPCR_REPLICAS,
 // COOPCR_THREADS, COOPCR_CSV_DIR, COOPCR_SHARDS, COOPCR_JOURNAL,
-// COOPCR_PLOT) through these helpers instead of hand-rolling
+// COOPCR_ANTITHETIC) through these helpers instead of hand-rolling
 // std::getenv + strtol. The contract is uniform: an unset or empty variable
 // falls back to the caller's default, and a malformed value *always* throws
 // coopcr::Error naming the knob — a typo'd COOPCR_REPLICAS=1o must abort the
@@ -53,8 +53,8 @@ double double_knob(const char* name, double fallback, double min_value);
 std::optional<std::string> string_knob(const char* name);
 
 /// Boolean knob: unset/empty/"0" → false, "1" → true, anything else throws
-/// (a silent typo like COOPCR_PLOT=yes must not disable the plot it asked
-/// for).
+/// (a silent typo like COOPCR_ANTITHETIC=yes must not disable the pairing
+/// it asked for).
 bool flag_knob(const char* name);
 
 }  // namespace coopcr::env

@@ -1,7 +1,7 @@
 // coopcr/util/numeric.hpp
 //
 // Small numerical toolbox used by the analytical model (core/lower_bound) and
-// the capacity-planning benches (Figure 3 bisection on bandwidth).
+// the capacity-planning studies (Figure 3 bisection on bandwidth).
 
 #pragma once
 

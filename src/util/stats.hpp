@@ -86,7 +86,7 @@ class SampleSet {
   double stddev() const;
   /// Interpolated quantile, `p` in [0, 1]. Throws on empty set.
   double quantile(double p) const;
-  /// Five-number summary used by all benches.
+  /// Five-number summary used by every figure.
   Candlestick candlestick() const;
 
  private:

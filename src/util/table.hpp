@@ -1,7 +1,8 @@
 // coopcr/util/table.hpp
 //
-// Console table printer used by benches and examples to render paper-style
-// tables (Table 1 and the figure data series) with aligned columns.
+// Console table printer used by the spec registry and the examples to render
+// paper-style tables (Table 1 and the figure data series) with aligned
+// columns.
 
 #pragma once
 

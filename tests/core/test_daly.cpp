@@ -48,7 +48,7 @@ TEST(Daly, DalyPeriodMinimisesWaste) {
 
 TEST(Daly, EapOnCieloMatchesHandComputation) {
   // EAP on Cielo: µ = 2 y / 2048 ≈ 30,796 s; C(160 GB/s) ≈ 327.4 s;
-  // P_Daly = sqrt(2 µ C) ≈ 4490 s (cf. bench/table1_workload).
+  // P_Daly = sqrt(2 µ C) ≈ 4490 s (cf. coopcr_sweep --spec table1).
   const double mu = job_mtbf(units::years(2), 2048);
   EXPECT_NEAR(mu, 30796.9, 0.5);
   EXPECT_NEAR(daly_period(327.4, mu), 4490.7, 2.0);

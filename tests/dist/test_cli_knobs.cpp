@@ -119,6 +119,16 @@ TEST_F(CliKnobsTest, DistOnlyKnobsAreRefusedAtShardsZero) {
                  "--shards");
 }
 
+TEST_F(CliKnobsTest, DrivenEntriesRefuseOneGridKnobsAndNameTheEntry) {
+  // Figure 3 runs a fresh grid per bisection round: there is no one grid to
+  // journal, resume or rebuild in an exec worker.
+  expect_refusal("--spec fig3 --replicas 2 --shards 2 --journal fig3.j",
+                 "\"fig3\"");
+  expect_refusal("--spec fig3 --replicas 2 --shards 2 --exec-workers",
+                 "\"fig3\"");
+  expect_refusal("--spec fig3 --replicas 2 --shards 2 --resume", "\"fig3\"");
+}
+
 TEST_F(CliKnobsTest, BadKnobValuesNameTheirOwnKnob) {
   expect_refusal("--spec demo --replicas 2 --shards 2 --fault-plan launch=0@1",
                  "--fault-plan");

@@ -1,9 +1,10 @@
 // The paper artifacts that are not one Monte Carlo grid — Figure 3's
-// bisection and the two closed-form tables — pinned through the real
-// binaries at 2 replicas: each run's CSV size and FNV-1a digest. Re-pin
-// only for a deliberate behaviour change, and say so in the commit message.
+// bisection and the two closed-form tables — pinned through coopcr_sweep
+// at 2 replicas on both engines: each run's CSV size and FNV-1a digest.
+// Re-pin only for a deliberate behaviour change, and say so in the commit
+// message.
 //
-// ctest runs from the build root, next to the binaries; set COOPCR_BIN_DIR
+// ctest runs from the build root, next to coopcr_sweep; set COOPCR_BIN_DIR
 // to point elsewhere when running by hand.
 
 #include <gtest/gtest.h>
@@ -37,26 +38,29 @@ fs::path bin_dir() {
 }
 
 struct ArtifactPin {
-  const char* program;  ///< binary that writes the artifact
-  const char* stem;     ///< <stem>.csv under the output directory
+  const char* key;   ///< registry key
+  const char* stem;  ///< <stem>.csv under the output directory
   std::size_t csv_bytes;
   std::uint64_t csv_fnv1a;
 };
 
 const std::vector<ArtifactPin> kPins = {
-    {"fig3_prospective", "fig3_prospective", 3288u, 2302940423539257594ull},
-    {"table1_workload", "table1_workload", 446u, 5035453478737982053ull},
+    {"fig3", "fig3_prospective", 3288u, 2302940423539257594ull},
+    {"table1", "table1_workload", 446u, 5035453478737982053ull},
     {"ablation_period_formula", "ablation_period_formula", 799u,
      4431924839043883043ull},
 };
 
-/// Run `pin`'s program at 2 replicas with its CSV written under `out`;
-/// returns the exit code, with stdout and stderr in `output`.
-int run_program(const ArtifactPin& pin, const fs::path& out,
+fs::path sweep_binary() { return bin_dir() / "coopcr_sweep"; }
+
+/// Run `pin`'s entry at 2 replicas on `shards` with its CSV written under
+/// `out`; returns the exit code, with stdout and stderr in `output`.
+int run_program(const ArtifactPin& pin, int shards, const fs::path& out,
                 std::string& output) {
-  const std::string command = "env COOPCR_REPLICAS=2 COOPCR_CSV_DIR=" +
-                              out.string() + " " +
-                              (bin_dir() / pin.program).string() + " 2>&1";
+  const std::string command =
+      sweep_binary().string() + " --spec " + pin.key +
+      " --replicas 2 --shards " + std::to_string(shards) + " --out " +
+      out.string() + " 2>&1";
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return -1;
   char buffer[4096];
@@ -69,27 +73,31 @@ int run_program(const ArtifactPin& pin, const fs::path& out,
 }
 
 TEST(PaperArtifacts, CsvBytesMatchThePins) {
+  if (!fs::exists(sweep_binary())) {
+    GTEST_SKIP() << "coopcr_sweep not found in " << bin_dir()
+                 << " — run under ctest from the build root or set "
+                    "COOPCR_BIN_DIR";
+  }
   for (const ArtifactPin& pin : kPins) {
-    SCOPED_TRACE(pin.program);
-    if (!fs::exists(bin_dir() / pin.program)) {
-      GTEST_SKIP() << pin.program << " not found in " << bin_dir()
-                   << " — run under ctest from the build root or set "
-                      "COOPCR_BIN_DIR";
+    for (const int shards : {0, 2}) {
+      SCOPED_TRACE(std::string(pin.key) + " at --shards " +
+                   std::to_string(shards));
+      const fs::path out = fs::temp_directory_path() /
+                           ("coopcr_paper_artifacts_" +
+                            std::to_string(::getpid()) + "_" + pin.stem);
+      fs::remove_all(out);
+      fs::create_directories(out);
+      std::string output;
+      ASSERT_EQ(run_program(pin, shards, out, output), 0) << output;
+      std::ifstream in(out / (std::string(pin.stem) + ".csv"),
+                       std::ios::binary);
+      ASSERT_TRUE(in.good()) << output;
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      EXPECT_EQ(bytes.size(), pin.csv_bytes);
+      EXPECT_EQ(fnv1a(bytes), pin.csv_fnv1a);
+      fs::remove_all(out);
     }
-    const fs::path out = fs::temp_directory_path() /
-                         ("coopcr_paper_artifacts_" +
-                          std::to_string(::getpid()) + "_" + pin.stem);
-    fs::remove_all(out);
-    fs::create_directories(out);
-    std::string output;
-    ASSERT_EQ(run_program(pin, out, output), 0) << output;
-    std::ifstream in(out / (std::string(pin.stem) + ".csv"), std::ios::binary);
-    ASSERT_TRUE(in.good()) << output;
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    EXPECT_EQ(bytes.size(), pin.csv_bytes);
-    EXPECT_EQ(fnv1a(bytes), pin.csv_fnv1a);
-    fs::remove_all(out);
   }
 }
 

@@ -1,8 +1,10 @@
-// The spec registry, the single definition of every Monte Carlo paper
-// artifact. Each paper entry runs at 2 replicas and its JSON artifact's size
-// and FNV-1a digest are pinned; the pins were captured from the standalone
-// bench programs the entries replaced (COOPCR_REPLICAS=2). Re-pin only for
-// a deliberate behaviour change, and say so in the commit message.
+// The spec registry, the single definition of every paper artifact. Each
+// paper grid entry runs at 2 replicas and its JSON artifact's size and
+// FNV-1a digest are pinned; the pins were captured from the standalone
+// bench programs the entries replaced (COOPCR_REPLICAS=2). The driven
+// entries' CSVs are pinned through coopcr_sweep in test_paper_artifacts.
+// Re-pin only for a deliberate behaviour change, and say so in the commit
+// message.
 
 #include <gtest/gtest.h>
 
@@ -103,20 +105,39 @@ TEST(SpecRegistry, KeysAndExperimentNamesAreUniqueAndRoundTrip) {
   std::set<std::string> experiments;
   for (const exp::NamedSpec& entry : exp::spec_registry()) {
     SCOPED_TRACE(entry.name);
-    const std::string experiment = exp::build_named_spec(entry.name, 1).name();
     EXPECT_TRUE(keys.insert(entry.name).second);
+    EXPECT_EQ(&exp::named_spec(entry.name), &entry);
+    // Each entry is either a grid (build and render) or driven.
+    EXPECT_EQ(entry.build != nullptr, entry.render != nullptr);
+    EXPECT_NE(entry.build != nullptr, entry.drive != nullptr);
+    if (entry.drive) {
+      EXPECT_THROW(exp::build_named_spec(entry.name, 1), Error);
+      continue;
+    }
+    const std::string experiment = exp::build_named_spec(entry.name, 1).name();
     EXPECT_TRUE(experiments.insert(experiment).second);
     EXPECT_EQ(exp::find_spec_by_experiment(experiment), &entry);
   }
+  // The advisor never maps an artifact to a driven entry: fig3's probe
+  // grids report under "fig3_prospective", but there is no grid to rebuild.
+  EXPECT_EQ(exp::find_spec_by_experiment("fig3_prospective"), nullptr);
   EXPECT_EQ(exp::find_spec_by_experiment("no_such_experiment"), nullptr);
+  EXPECT_THROW(exp::named_spec("no_such_key"), Error);
   EXPECT_THROW(exp::build_named_spec("no_such_key", 1), Error);
 }
 
-TEST(SpecRegistry, EveryRendererRunsOnATwoReplicaReport) {
+TEST(SpecRegistry, EveryEntryPresentsItsRun) {
+  exp::SweepRunner runner;
+  MonteCarloOptions one_replica;
+  one_replica.replicas = 1;
   for (const exp::NamedSpec& entry : exp::spec_registry()) {
     SCOPED_TRACE(entry.name);
     std::ostringstream os;
-    EXPECT_NO_THROW(entry.render(report_at_2(entry.name), os));
+    if (entry.drive) {
+      EXPECT_NO_THROW(entry.drive(runner, one_replica, os));
+    } else {
+      EXPECT_NO_THROW(entry.render(report_at_2(entry.name), os));
+    }
     EXPECT_FALSE(os.str().empty());
   }
 }

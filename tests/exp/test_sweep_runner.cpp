@@ -182,28 +182,6 @@ TEST(SweepRunner, RunNamesTheFailingGridPointAndReplica) {
   }
 }
 
-TEST(SweepRunner, RunBatchNamesTheFailingCampaign) {
-  ScenarioConfig broken = ScenarioBuilder::cielo_apex(/*seed=*/99)
-                              .min_makespan(units::days(2))
-                              .segment(units::days(40), units::days(50))
-                              .build();
-  MonteCarloOptions options;
-  options.replicas = 1;
-  exp::SweepRunner runner(/*threads=*/2);
-  std::vector<exp::Campaign> batch;
-  batch.push_back(exp::Campaign{tiny_base().build(), {least_waste()}, options});
-  batch.push_back(exp::Campaign{broken, {least_waste()}, options});
-  try {
-    runner.run_batch(std::move(batch));
-    FAIL() << "expected the batch to fail";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("sweep batch campaign 1 of 2"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("replica 0"), std::string::npos) << what;
-  }
-}
-
 TEST(SweepRunner, SequentialStoppingMatchesTheFixedCountCampaign) {
   // Pick the target from fixed-count reference runs so the test asserts the
   // exact CI-sized trajectory: replaying sequential_round_size over the
@@ -262,7 +240,6 @@ TEST(SweepRunner, SequentialStoppingNeedsTwoEstimatorUnits) {
   // sample variance, and the fold reports its CI width as 0. That must not
   // count as converged: the campaign grows to min(cap, 2n) and settles only
   // on a CI it measured, however loose the target.
-  const ScenarioConfig scenario = tiny_base().build();
   exp::SweepRunner runner(/*threads=*/2);
   const auto run = [&](int replicas, bool antithetic) {
     MonteCarloOptions options;
@@ -270,9 +247,9 @@ TEST(SweepRunner, SequentialStoppingNeedsTwoEstimatorUnits) {
     options.antithetic = antithetic;
     options.target_ci_width = 10.0;  // any measured CI meets it
     options.max_replicas = 64;
-    std::vector<exp::Campaign> batch;
-    batch.push_back(exp::Campaign{scenario, {least_waste()}, options});
-    return runner.run_batch(std::move(batch)).at(0);
+    exp::ExperimentSpec spec(tiny_base(), "one_point");
+    spec.strategies({least_waste()}).options(options);
+    return runner.run(spec).points.at(0).report;
   };
 
   const MonteCarloReport plain = run(1, /*antithetic=*/false);
@@ -374,43 +351,33 @@ TEST(SweepRunner, MaxReplicasCapsTheTotalIncludingRoundOne) {
   // cap replicas — not its initial count — and the cap also halts the
   // rounds mid-schedule (an unattainable target doubles, so with cap 12 it
   // grows 4 -> 8 -> 12, stopping at the cap rather than 16).
-  const ScenarioConfig scenario = tiny_base().build();
   exp::SweepRunner runner(/*threads=*/2);
+  const auto run = [&](const MonteCarloOptions& options) {
+    exp::ExperimentSpec spec(tiny_base(), "capped");
+    spec.strategies({least_waste()}).options(options);
+    return runner.run(spec).points.at(0).report;
+  };
 
   MonteCarloOptions above_cap;
   above_cap.replicas = 32;
   above_cap.target_ci_width = 1e-9;  // unattainable: growth limited by cap
   above_cap.max_replicas = 8;
-  std::vector<exp::Campaign> batch;
-  batch.push_back(exp::Campaign{scenario, {least_waste()}, above_cap});
-  std::vector<MonteCarloReport> reports = runner.run_batch(std::move(batch));
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].replicas, 8);
+  const MonteCarloReport report = run(above_cap);
+  EXPECT_EQ(report.replicas, 8);
 
   MonteCarloOptions mid_schedule;
   mid_schedule.replicas = 4;
   mid_schedule.target_ci_width = 1e-9;
   mid_schedule.max_replicas = 12;
-  batch.clear();
-  batch.push_back(exp::Campaign{scenario, {least_waste()}, mid_schedule});
-  reports = runner.run_batch(std::move(batch));
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].replicas, 12);
+  EXPECT_EQ(run(mid_schedule).replicas, 12);
 
-  // The same contract through run(): the emitted per-point replica count is
-  // the cap, and the samples are the deterministic (seed, r) prefix — a
+  // The capped samples are the deterministic (seed, r) prefix: a
   // fixed-count campaign of the same size matches bit for bit.
-  exp::ExperimentSpec spec(tiny_base(), "capped");
-  spec.pfs_bandwidth_axis({80}).strategies({least_waste()}).options(above_cap);
-  const exp::ExperimentReport report = runner.run(spec);
-  ASSERT_EQ(report.points.size(), 1u);
-  EXPECT_EQ(report.points[0].report.replicas, 8);
   MonteCarloOptions fixed;
   fixed.replicas = 8;
-  const MonteCarloReport reference = run_monte_carlo(
-      tiny_base().pfs_bandwidth(units::gb_per_s(80)).build(), {least_waste()},
-      fixed);
-  const auto& capped = report.points[0].report.outcomes[0].waste_ratio;
+  const MonteCarloReport reference =
+      run_monte_carlo(tiny_base().build(), {least_waste()}, fixed);
+  const auto& capped = report.outcomes[0].waste_ratio;
   const auto& ref = reference.outcomes[0].waste_ratio;
   ASSERT_EQ(capped.samples().size(), ref.samples().size());
   for (std::size_t i = 0; i < ref.samples().size(); ++i) {
