@@ -4,8 +4,8 @@
 // Re-pin only for a deliberate behaviour change, and say so in the commit
 // message.
 //
-// ctest runs from the build root, next to coopcr_sweep; set COOPCR_BIN_DIR
-// to point elsewhere when running by hand.
+// ctest runs from the build root, next to the coopcr_sweep binary; set
+// COOPCR_SWEEP_BIN to point elsewhere when running by hand.
 
 #include <gtest/gtest.h>
 
@@ -32,9 +32,9 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-fs::path bin_dir() {
-  if (const char* dir = std::getenv("COOPCR_BIN_DIR")) return dir;
-  return ".";
+std::string sweep_binary() {
+  if (const char* bin = std::getenv("COOPCR_SWEEP_BIN")) return bin;
+  return "./coopcr_sweep";
 }
 
 struct ArtifactPin {
@@ -51,14 +51,12 @@ const std::vector<ArtifactPin> kPins = {
      4431924839043883043ull},
 };
 
-fs::path sweep_binary() { return bin_dir() / "coopcr_sweep"; }
-
 /// Run `pin`'s entry at 2 replicas on `shards` with its CSV written under
 /// `out`; returns the exit code, with stdout and stderr in `output`.
 int run_program(const ArtifactPin& pin, int shards, const fs::path& out,
                 std::string& output) {
   const std::string command =
-      sweep_binary().string() + " --spec " + pin.key +
+      sweep_binary() + " --spec " + pin.key +
       " --replicas 2 --shards " + std::to_string(shards) + " --out " +
       out.string() + " 2>&1";
   FILE* pipe = ::popen(command.c_str(), "r");
@@ -74,9 +72,9 @@ int run_program(const ArtifactPin& pin, int shards, const fs::path& out,
 
 TEST(PaperArtifacts, CsvBytesMatchThePins) {
   if (!fs::exists(sweep_binary())) {
-    GTEST_SKIP() << "coopcr_sweep not found in " << bin_dir()
+    GTEST_SKIP() << "coopcr_sweep binary not found at " << sweep_binary()
                  << " — run under ctest from the build root or set "
-                    "COOPCR_BIN_DIR";
+                    "COOPCR_SWEEP_BIN";
   }
   for (const ArtifactPin& pin : kPins) {
     for (const int shards : {0, 2}) {
